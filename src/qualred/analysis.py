@@ -1,18 +1,18 @@
 """Checkers: structural hypotheses, elimination safety conditions,
 maximal elements, and preservation of maximal elements under reduction.
 
-Continuum checks run on a finite candidate grid: every constant appearing
-in carriers, cells, or values splits the axes into segments, and each
-check's verdict is constant on products of segments, so probing every
-breakpoint and enough interior points per segment decides the whole
-space. A seeded batch of random profiles is probed on top as a
-belt-and-braces measure.
+Continuum checks are decided exactly on a finite set of order cells.
+Every constant appearing in carriers, cells, clips or values splits the
+line into constants and open gaps. A check compares coordinates only with
+each other and with those constants, so its verdict is constant on each
+order cell (which constant or gap each coordinate sits at, plus the weak
+order of coordinates sharing a gap), and one point per cell decides the
+whole space.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,10 +39,6 @@ from .engine import (
     factor_is_empty,
     restrict,
 )
-
-SPOT_CHECKS = 1000
-_SPOT_SEED = 20240
-
 
 def _fmt(value) -> str:
     if isinstance(value, tuple):
@@ -74,24 +70,18 @@ class Verdict:
 
 def _global_breakpoints(game: Game) -> list[Fraction]:
     values: set[Fraction] = set()
-
-    def add_set(s: IntervalSet) -> None:
-        for part in s.parts:
-            values.add(part.lo.value)
-            values.add(part.hi.value)
-
     groups = [game.prefs]
     if game.comps is not None:
         groups.append(game.comps)
     for i in range(game.n):
-        add_set(game.carrier(i))
+        values.update(game.carrier(i).endpoints())
     for group in groups:
         for corr in group:
             if corr.clip is not None:
-                add_set(corr.clip)
+                values.update(corr.clip.endpoints())
             for piece in corr.pieces:
                 for f in piece.cell.factors:
-                    add_set(f)
+                    values.update(f.endpoints())
                 if isinstance(piece.value, EmptyValue):
                     continue
                 for expr in (piece.value.lo, piece.value.hi):
@@ -100,48 +90,70 @@ def _global_breakpoints(game: Game) -> list[Fraction]:
     return sorted(values)
 
 
-def _axis_candidates(
-    carrier: IntervalSet, points: list[Fraction], density: int
-) -> list[Fraction]:
-    """Breakpoints inside the carrier plus density interior samples per gap."""
-    out = [p for p in points if carrier.contains(p)]
-    for a, b in zip(points, points[1:]):
-        if carrier.intersect(IntervalSet.interval(a, b, False, False)).is_empty:
-            continue
-        step = Fraction(b - a, density + 1)
-        out.extend(a + step * k for k in range(1, density + 1))
-    return sorted(set(out))
+def _order_cells(game: Game, players: list[int]):
+    """One point per order cell of a continuum game, in lexicographic order.
 
+    Coordinate k ranges over the carrier of player players[k]. A cell fixes
+    which constant, or which open gap between consecutive constants, each
+    coordinate sits at, plus the weak order of the coordinates that share
+    a gap. Every check compares coordinates only with each other and with
+    the game's constants, so its truth is constant on each cell
+    (quantifier elimination for dense linear orders).
 
-def _candidate_axes(game: Game, extra: list[Fraction] = ()) -> list[list[Fraction]]:
-    points = sorted(set(_global_breakpoints(game)) | set(extra))
-    density = game.n + 1
-    return [
-        _axis_candidates(game.carrier(i), points, density)
-        for i in range(game.n)
-    ]
+    Gap (a, b) offers the grid points a + (b - a) * k / (n + 2) for
+    k = 1..n+1, enough for n + 1 coordinates. Yielded are the grid points
+    least in their cell: those whose positions in each gap are 1..R. The
+    first grid point of a lexicographic scan that fails a check is least
+    in its cell, so this scan meets the same first witness as the full grid.
+    """
+    points = _global_breakpoints(game)
+    slots = game.n + 1
 
+    def options(carrier: IntervalSet) -> list[tuple[Fraction, int, int]]:
+        # (value, gap or -1 at a constant, position in the gap)
+        out = [(p, -1, 0) for p in points if carrier.contains(p)]
+        for g, (a, b) in enumerate(zip(points, points[1:])):
+            if carrier.intersect(IntervalSet.interval(a, b, False, False)).is_empty:
+                continue
+            out.extend(
+                (a + (b - a) * Fraction(k, slots + 1), g, k)
+                for k in range(1, slots + 1)
+            )
+        return sorted(out)
 
-def _random_member(rng: random.Random, s: IntervalSet) -> Fraction:
-    part = rng.choice(s.parts)
-    if part.is_degenerate():
-        return part.lo.value
-    span = part.hi.value - part.lo.value
-    return part.lo.value + span * Fraction(rng.randint(1, 9999), 10000)
+    axes = [options(game.carrier(j)) for j in players]
+    taken: list[list[int]] = [[] for _ in points]
+    point: list[Fraction] = []
 
+    def holes(g: int) -> int:
+        ks = taken[g]
+        return max(ks) - len(set(ks)) if ks else 0
 
-def _random_profiles(game: Game, rng: random.Random, count: int):
-    carriers = [game.carrier(i) for i in range(game.n)]
-    for _ in range(count):
-        yield tuple(_random_member(rng, c) for c in carriers)
+    def walk(t: int, missing: int):
+        # missing: positions still to fill below the highest one used, per
+        # gap; only the coordinates after this one can fill them
+        if t == len(axes):
+            if not missing:
+                yield tuple(point)
+            return
+        for value, g, k in axes[t]:
+            now = missing
+            if g >= 0:
+                before = holes(g)
+                taken[g].append(k)
+                now += holes(g) - before
+            if now < len(axes) - t:
+                point.append(value)
+                yield from walk(t + 1, now)
+                point.pop()
+            if g >= 0:
+                taken[g].pop()
+
+    return walk(0, 0)
 
 
 def _with_coord(profile, i: int, y):
     return profile[:i] + (y,) + profile[i + 1 :]
-
-
-def _finite_profiles(game: Game):
-    return list(game.profiles())
 
 
 def check_property_T_single(game: Game) -> Verdict:
@@ -152,35 +164,24 @@ def check_property_T_single(game: Game) -> Verdict:
         for i in range(game.n):
             for x in game.profiles():
                 px = eval_value(game, game.prefs[i], x)
-                for y in px:
+                for y in game.labels(i):
+                    if y not in px:
+                        continue
                     py = eval_value(game, game.prefs[i], _with_coord(x, i, y))
                     if not py <= px:
                         return Verdict(name, "fails", witness=(i + 1, x, y))
         return Verdict(name, "holds")
-    axes = _candidate_axes(game)
-
-    def probe(i: int, x, y) -> tuple | None:
-        px = eval_value(game, game.prefs[i], x)
-        if not px.contains(y):
-            return None
-        py = eval_value(game, game.prefs[i], _with_coord(x, i, y))
-        if not py.closure().is_subset(px):
-            return (i + 1, x, y)
-        return None
-
     for i in range(game.n):
-        for x in itertools.product(*axes):
-            for y in axes[i]:
-                bad = probe(i, x, y)
-                if bad is not None:
-                    return Verdict(name, "fails", witness=bad)
-    rng = random.Random(_SPOT_SEED)
-    for x in _random_profiles(game, rng, SPOT_CHECKS):
-        i = rng.randrange(game.n)
-        y = _random_member(rng, game.carrier(i))
-        bad = probe(i, x, y)
-        if bad is not None:
-            return Verdict(name, "fails", witness=bad)
+        x = None
+        for point in _order_cells(game, [*range(game.n), i]):
+            if point[:-1] != x:
+                x = point[:-1]
+                px = eval_value(game, game.prefs[i], x)
+            y = point[-1]
+            if px.contains(y):
+                py = eval_value(game, game.prefs[i], _with_coord(x, i, y))
+                if not py.closure().is_subset(px):
+                    return Verdict(name, "fails", witness=(i + 1, x, y))
     return Verdict(name, "holds")
 
 
@@ -197,64 +198,42 @@ def check_property_T_pair(game: Game) -> Verdict:
                 qx = eval_value(game, game.comps[i], x)
                 if not px <= qx:
                     return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
-                for y in px:
+                for y in game.labels(i):
+                    if y not in px:
+                        continue
                     qy = eval_value(game, game.comps[i], _with_coord(x, i, y))
                     if not qy <= px:
                         return Verdict(name, "fails", witness=(i + 1, x, y))
         return Verdict(name, "holds")
-    axes = _candidate_axes(game)
-
-    def probe(i: int, x, y=None) -> tuple | None:
-        px = eval_value(game, game.prefs[i], x)
-        qx = eval_value(game, game.comps[i], x)
-        if not px.is_subset(qx):
-            return (i + 1, x, "P-not-in-Q")
-        if y is not None and px.contains(y):
-            qy = eval_value(game, game.comps[i], _with_coord(x, i, y))
-            if not qy.is_subset(px):
-                return (i + 1, x, y)
-        return None
-
     for i in range(game.n):
-        for x in itertools.product(*axes):
-            bad = probe(i, x)
-            if bad is not None:
-                return Verdict(name, "fails", witness=bad)
-            for y in axes[i]:
-                bad = probe(i, x, y)
-                if bad is not None:
-                    return Verdict(name, "fails", witness=bad)
-    rng = random.Random(_SPOT_SEED + 1)
-    for x in _random_profiles(game, rng, SPOT_CHECKS):
-        i = rng.randrange(game.n)
-        y = _random_member(rng, game.carrier(i))
-        bad = probe(i, x, y)
-        if bad is not None:
-            return Verdict(name, "fails", witness=bad)
+        x = None
+        for point in _order_cells(game, [*range(game.n), i]):
+            if point[:-1] != x:
+                x = point[:-1]
+                px = eval_value(game, game.prefs[i], x)
+                if not px.is_subset(eval_value(game, game.comps[i], x)):
+                    return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
+            y = point[-1]
+            if px.contains(y):
+                qy = eval_value(game, game.comps[i], _with_coord(x, i, y))
+                if not qy.is_subset(px):
+                    return Verdict(name, "fails", witness=(i + 1, x, y))
     return Verdict(name, "holds")
 
 
 def _check_pointwise(game: Game, name: str, pred) -> Verdict:
-    """Run a per-profile predicate over grid and spot-check profiles.
+    """Run a per-profile predicate over every profile, or over one profile
+    per order cell of a continuum game.
 
     pred(i, x) returns None or a witness tuple.
     """
-    if game.is_finite:
-        for i in range(game.n):
-            for x in game.profiles():
-                bad = pred(i, x)
-                if bad is not None:
-                    return Verdict(name, "fails", witness=bad)
-        return Verdict(name, "holds")
-    axes = _candidate_axes(game)
     for i in range(game.n):
-        for x in itertools.product(*axes):
-            bad = pred(i, x)
-            if bad is not None:
-                return Verdict(name, "fails", witness=bad)
-    rng = random.Random(_SPOT_SEED + sum(name.encode()))
-    for x in _random_profiles(game, rng, SPOT_CHECKS):
-        for i in range(game.n):
+        profiles = (
+            game.profiles()
+            if game.is_finite
+            else _order_cells(game, list(range(game.n)))
+        )
+        for x in profiles:
             bad = pred(i, x)
             if bad is not None:
                 return Verdict(name, "fails", witness=bad)
@@ -352,26 +331,22 @@ def check_open_lower_sections(game: Game) -> Verdict:
         return eval_value(game, game.prefs[i], x).contains(y)
 
     for i in range(game.n):
-        y_axis = _axis_candidates(carriers[i], base_points, game.n + 1)
-        for y in y_axis:
+        for (y,) in _order_cells(game, [i]):
             points = sorted(set(base_points) | {y})
+            mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
             axes = []
             probe_opts: list[dict[Fraction, list[Fraction]]] = []
-            for j in range(game.n):
-                cands = _axis_candidates(carriers[j], points, 1)
-                axes.append(cands)
+            for carrier in carriers:
                 opts: dict[Fraction, list[Fraction]] = {}
-                for c in cands:
-                    if c not in points:
-                        opts[c] = [c]  # interior of its segment
-                        continue
-                    k = points.index(c)
-                    near = [c]
-                    if k > 0:
-                        near.append(c - Fraction(c - points[k - 1], 2))
-                    if k + 1 < len(points):
-                        near.append(c + Fraction(points[k + 1] - c, 2))
-                    opts[c] = [p for p in near if carriers[j].contains(p)]
+                for k, c in enumerate(points):
+                    if carrier.contains(c):
+                        # a constant is probed with its neighbouring midpoints
+                        near = mids[max(k - 1, 0) : k + 1]
+                        opts[c] = [c] + [m for m in near if carrier.contains(m)]
+                for m in mids:
+                    if carrier.contains(m):
+                        opts[m] = [m]
+                axes.append(sorted(opts))
                 probe_opts.append(opts)
             for x in itertools.product(*axes):
                 if not member(i, y, x):

@@ -354,6 +354,11 @@ def _render_value(value) -> str:
 
 def serialize_game(game: Game) -> str:
     """Canonical text for a game; parse(serialize(g)) rebuilds g."""
+    if '"' in game.name or "".join(game.name.splitlines()) != game.name:
+        raise GameError(
+            f"game name {game.name!r} has a quote or a line break, "
+            "which the text format cannot hold"
+        )
     out = [f'game "{game.name}"']
     for k, space in enumerate(game.spaces):
         if isinstance(space, FiniteSpace):

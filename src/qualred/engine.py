@@ -24,7 +24,6 @@ from .games import (
     FiniteSpace,
     FiniteTable,
     Game,
-    GameError,
     Piece,
     PiecewiseMap,
     UtilityTable,
@@ -177,15 +176,6 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     return DominatorSet(i + 1, x, result)
 
 
-def dominates(game: Game, h: Pairing, i: int, y, x) -> bool:
-    if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
-        raise GameError("dominance needs nonempty opponent factors")
-    d = dominator_set(game, h, i, x).strategies
-    if isinstance(d, IntervalSet):
-        return d.contains(y)
-    return y in d
-
-
 def _condition_holds(
     game: Game, h: Pairing, i: int, x, member, exclude_self: bool
 ) -> bool:
@@ -202,19 +192,13 @@ def _condition_holds(
 
 def _breakpoints(game: Game, h: Pairing, i: int, extra: list[IntervalSet]) -> list[Fraction]:
     values: set[Fraction] = set()
-
-    def add_set(s: IntervalSet) -> None:
-        for part in s.parts:
-            values.add(part.lo.value)
-            values.add(part.hi.value)
-
     for s in extra:
-        add_set(s)
+        values.update(s.endpoints())
     corr = game.prefs[i]
     if corr.clip is not None:
-        add_set(corr.clip)
+        values.update(corr.clip.endpoints())
     for piece in corr.pieces:
-        add_set(piece.cell.factors[i])
+        values.update(piece.cell.factors[i].endpoints())
         overlaps = {}
         dead = False
         for j in range(game.n):

@@ -148,6 +148,12 @@ class IntervalSet:
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
+    def endpoints(self) -> Iterator[Fraction]:
+        """The end values of every part, lower then upper, in order."""
+        for part in self.parts:
+            yield part.lo.value
+            yield part.hi.value
+
     def contains(self, p: Fraction | int) -> bool:
         p = Fraction(p)
         return any(part.contains(p) for part in self.parts)

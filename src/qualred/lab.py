@@ -534,10 +534,7 @@ def _check_preservation(game, traces) -> str | None:
     return None
 
 
-def _violation_detail(game, check: str, bound: int) -> str | None:
-    traces = {
-        op: star_reduce(game, op) for op in (Operator.TAIL, Operator.DOUBLE)
-    }
+def _violation_detail(game, check: str, traces, bound: int) -> str | None:
     if check == "limit-containment":
         return _check_limit_containment(game, traces)
     if check == "c-implies-d":
@@ -568,7 +565,11 @@ def _shrink(game: Game, check: str, bound: int) -> Game:
                     for j in range(current.n)
                 )
                 candidate = restrict(current, h)
-                if _violation_detail(candidate, check, bound) is not None:
+                traces = {
+                    op: star_reduce(candidate, op)
+                    for op in (Operator.TAIL, Operator.DOUBLE)
+                }
+                if _violation_detail(candidate, check, traces, bound) is not None:
                     current = candidate
                     improved = True
                     break
@@ -613,9 +614,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
                 if enum is not None:
                     order_dependent = enum.order_dependent
             else:
-                detail = _violation_detail_given(
-                    game, check, traces, config.oracle_bound
-                )
+                detail = _violation_detail(game, check, traces, config.oracle_bound)
             if detail is not None:
                 violations.append(check)
                 shrunk = _shrink(game, check, config.oracle_bound)
@@ -642,15 +641,3 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
             )
         )
     return FuzzReport(config=config, records=records, findings=findings)
-
-
-def _violation_detail_given(game, check: str, traces, bound: int) -> str | None:
-    if check == "limit-containment":
-        return _check_limit_containment(game, traces)
-    if check == "c-implies-d":
-        return _check_c_implies_d(game, traces)
-    if check == "stagewise-agreement":
-        return _check_stagewise_agreement(game, traces)
-    if check == "preservation":
-        return _check_preservation(game, traces)
-    raise GameError(f"unknown fuzz check {check!r}")

@@ -1,6 +1,11 @@
 """Hypothesis checks, dominator search, maximal elements, preservation."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -149,10 +154,41 @@ def test_preservation_finite_equal(load_game):
     assert rep.equal
 
 
-def test_spot_checks_are_deterministic(load_game):
+def test_continuum_checks_are_deterministic(load_game):
     g = load_game("fx5-derived.qg")
     a = check_hypotheses(g)
     b = check_hypotheses(g)
     assert {k: v.to_dict() for k, v in a.items()} == {
         k: v.to_dict() for k, v in b.items()
     }
+
+
+def _table_game_4x2() -> str:
+    """Player 1 prefers b, c and d at (a, e); c and d, not b, lead back to a.
+    The comparison tables copy the preference tables."""
+    rows = {("a", "e"): "b, c, d", ("c", "e"): "a", ("d", "e"): "a"}
+    profiles = [(s, t) for s in "abcd" for t in "ef"]
+    lines = ['game "t42"', "space 1 = finite {a, b, c, d}", "space 2 = finite {e, f}"]
+    for kw in ("pref", "comp"):
+        for player, table in ((1, rows), (2, {})):
+            lines.append(f"{kw} {player} table:")
+            lines += [f"  at {s},{t}: {{{table.get((s, t), '')}}}" for s, t in profiles]
+    return "\n".join(lines) + "\n"
+
+
+def test_finite_witnesses_ignore_the_hash_seed(tmp_path):
+    path = tmp_path / "t42.qg"
+    path.write_text(_table_game_4x2())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "qualred.cli", "check", str(path),
+            "--hypotheses", "propertyT-single,propertyT-pair"]
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 5, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    verdicts = json.loads(outs[0])["hypotheses"]
+    for name in ("propertyT-single", "propertyT-pair"):
+        assert verdicts[name]["witness"] == ["1", "(a, e)", "c"]

@@ -130,3 +130,20 @@ def test_serialize_restricted_game_rejected(load_game):
     clipped = restrict(g, (IntervalSet.point(F(1)), IntervalSet.point(F(1))))
     with pytest.raises(GameError):
         serialize_game(clipped)
+
+
+@pytest.mark.parametrize("name", ['say "hi"', "two\nlines", "ends\r"])
+def test_serialize_rejects_names_the_header_cannot_hold(load_game, name):
+    from dataclasses import replace
+
+    from qualred.games import GameError
+
+    with pytest.raises(GameError):
+        serialize_game(replace(load_game("fx1.qg"), name=name))
+
+
+def test_odd_name_round_trips(load_game):
+    from dataclasses import replace
+
+    g = replace(load_game("fx1.qg"), name=" a # b, 'c' ")
+    assert parse_game(serialize_game(g)).name == g.name
