@@ -104,7 +104,8 @@ def _order_cells(game: Game, players: list[int]):
     k = 1..n+1, enough for n + 1 coordinates. Yielded are the grid points
     least in their cell: those whose positions in each gap are 1..R. The
     first grid point of a lexicographic scan that fails a check is least
-    in its cell, so this scan meets the same first witness as the full grid.
+    in its cell, so a scan of these points meets the same first witness as
+    a scan of the whole grid.
     """
     points = _global_breakpoints(game)
     slots = game.n + 1
@@ -130,8 +131,8 @@ def _order_cells(game: Game, players: list[int]):
         return max(ks) - len(set(ks)) if ks else 0
 
     def walk(t: int, missing: int):
-        # missing: positions still to fill below the highest one used, per
-        # gap; only the coordinates after this one can fill them
+        # missing: unused positions below the highest one used, summed over
+        # the gaps; only the coordinates after this one can fill them
         if t == len(axes):
             if not missing:
                 yield tuple(point)

@@ -8,7 +8,6 @@ behaviour with ``PYTHONPATH=src python tests/test_golden.py``.
 import contextlib
 import io
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -87,4 +86,3 @@ if __name__ == "__main__":
         got_code, got = _run(argv, target)
         target.write_bytes(got)
         print(f"{name}: exit {got_code}" + ("" if got_code == code else f" (table says {code})"))
-    sys.exit(0)
