@@ -32,11 +32,12 @@ from .games import (
 )
 from .intervals import IntervalSet
 from .engine import (
-    Factor,
     Pairing,
+    _finite_rows,
     _region_where,
     dominator_set,
-    factor_is_empty,
+    factor_pick,
+    full_pairing,
     restrict,
 )
 
@@ -153,6 +154,18 @@ def _order_cells(game: Game, players: list[int]):
     return walk(0, 0)
 
 
+def _points(game: Game, players: list[int]):
+    """Every profile over the players' label axes of a finite game, or one
+    point per order cell of a continuum game, in lexicographic order."""
+    if game.is_finite:
+        return itertools.product(*(game.labels(j) for j in players))
+    return _order_cells(game, players)
+
+
+def _closure(v):
+    return v.closure() if isinstance(v, IntervalSet) else v
+
+
 def _with_coord(profile, i: int, y):
     return profile[:i] + (y,) + profile[i + 1 :]
 
@@ -161,27 +174,16 @@ def check_property_T_single(game: Game) -> Verdict:
     """Preferred sets shrink along preference: y above x forces everything
     above y (closure included) to sit above x as well."""
     name = "propertyT-single"
-    if game.is_finite:
-        for i in range(game.n):
-            for x in game.profiles():
-                px = eval_value(game, game.prefs[i], x)
-                for y in game.labels(i):
-                    if y not in px:
-                        continue
-                    py = eval_value(game, game.prefs[i], _with_coord(x, i, y))
-                    if not py <= px:
-                        return Verdict(name, "fails", witness=(i + 1, x, y))
-        return Verdict(name, "holds")
     for i in range(game.n):
         x = None
-        for point in _order_cells(game, [*range(game.n), i]):
+        for point in _points(game, [*range(game.n), i]):
             if point[:-1] != x:
                 x = point[:-1]
                 px = eval_value(game, game.prefs[i], x)
             y = point[-1]
-            if px.contains(y):
+            if y in px:
                 py = eval_value(game, game.prefs[i], _with_coord(x, i, y))
-                if not py.closure().is_subset(px):
+                if not _closure(py) <= px:
                     return Verdict(name, "fails", witness=(i + 1, x, y))
     return Verdict(name, "holds")
 
@@ -192,32 +194,18 @@ def check_property_T_pair(game: Game) -> Verdict:
     name = "propertyT-pair"
     if game.comps is None:
         return Verdict(name, "not-checkable", note="game has no comparison map")
-    if game.is_finite:
-        for i in range(game.n):
-            for x in game.profiles():
-                px = eval_value(game, game.prefs[i], x)
-                qx = eval_value(game, game.comps[i], x)
-                if not px <= qx:
-                    return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
-                for y in game.labels(i):
-                    if y not in px:
-                        continue
-                    qy = eval_value(game, game.comps[i], _with_coord(x, i, y))
-                    if not qy <= px:
-                        return Verdict(name, "fails", witness=(i + 1, x, y))
-        return Verdict(name, "holds")
     for i in range(game.n):
         x = None
-        for point in _order_cells(game, [*range(game.n), i]):
+        for point in _points(game, [*range(game.n), i]):
             if point[:-1] != x:
                 x = point[:-1]
                 px = eval_value(game, game.prefs[i], x)
-                if not px.is_subset(eval_value(game, game.comps[i], x)):
+                if not px <= eval_value(game, game.comps[i], x):
                     return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
             y = point[-1]
-            if px.contains(y):
+            if y in px:
                 qy = eval_value(game, game.comps[i], _with_coord(x, i, y))
-                if not qy.is_subset(px):
+                if not qy <= px:
                     return Verdict(name, "fails", witness=(i + 1, x, y))
     return Verdict(name, "holds")
 
@@ -229,12 +217,7 @@ def _check_pointwise(game: Game, name: str, pred) -> Verdict:
     pred(i, x) returns None or a witness tuple.
     """
     for i in range(game.n):
-        profiles = (
-            game.profiles()
-            if game.is_finite
-            else _order_cells(game, list(range(game.n)))
-        )
-        for x in profiles:
+        for x in _points(game, list(range(game.n))):
             bad = pred(i, x)
             if bad is not None:
                 return Verdict(name, "fails", witness=bad)
@@ -244,9 +227,7 @@ def _check_pointwise(game: Game, name: str, pred) -> Verdict:
 def check_irreflexive(game: Game) -> Verdict:
     def pred(i, x):
         v = eval_value(game, game.prefs[i], x)
-        own = x[i]
-        hit = v.contains(own) if isinstance(v, IntervalSet) else own in v
-        return (i + 1, x) if hit else None
+        return (i + 1, x) if x[i] in v else None
 
     return _check_pointwise(game, "irreflexive", pred)
 
@@ -255,13 +236,8 @@ def check_strong_irreflexive(game: Game) -> Verdict:
     """No strategy sits in the closure of what it is beaten by."""
 
     def pred(i, x):
-        v = eval_value(game, game.prefs[i], x)
-        own = x[i]
-        if isinstance(v, IntervalSet):
-            hit = v.closure().contains(own)
-        else:
-            hit = own in v
-        return (i + 1, x) if hit else None
+        v = _closure(eval_value(game, game.prefs[i], x))
+        return (i + 1, x) if x[i] in v else None
 
     return _check_pointwise(game, "strong-irreflexive", pred)
 
@@ -273,9 +249,7 @@ def check_q_reflexive(game: Game) -> Verdict:
 
     def pred(i, x):
         v = eval_value(game, game.comps[i], x)
-        own = x[i]
-        hit = v.contains(own) if isinstance(v, IntervalSet) else own in v
-        return None if hit else (i + 1, x)
+        return None if x[i] in v else (i + 1, x)
 
     return _check_pointwise(game, name, pred)
 
@@ -404,37 +378,17 @@ def check_hypotheses(game: Game, names: list[str] | None = None) -> dict[str, Ve
     return out
 
 
-def _full_domain(game: Game, i: int) -> Factor:
-    if game.is_finite:
-        return frozenset(game.labels(i))
-    return game.carrier(i)
-
-
-def _factor_pick(game: Game, i: int, f: Factor):
-    if isinstance(f, IntervalSet):
-        return f.pick()
-    order = {s: k for k, s in enumerate(game.labels(i))}
-    return min(f, key=order.__getitem__)
-
-
-def _factor_minus(a: Factor, b: Factor) -> Factor:
-    if isinstance(a, IntervalSet):
-        return a.difference(b)
-    return a - b
-
-
 def check_condition_D(game: Game, h: Pairing) -> Verdict:
     """Everything dominated at h has a dominator still alive in h."""
     name = "condition-D"
+    full = full_pairing(game)
     for i in range(game.n):
-        if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
+        if not all(h[j] for j in range(game.n) if j != i):
             continue
-        domain = _full_domain(game, i)
-        dominated = _region_where(game, h, i, domain=domain)
-        good = _region_where(game, h, i, domain=dominated, member=h[i])
-        bad = _factor_minus(dominated, good)
-        if not factor_is_empty(bad):
-            return Verdict(name, "fails", witness=(i + 1, _factor_pick(game, i, bad)))
+        dominated = _region_where(game, h, i, domain=full[i])
+        bad = dominated - _region_where(game, h, i, domain=dominated, member=h[i])
+        if bad:
+            return Verdict(name, "fails", witness=(i + 1, factor_pick(game, i, bad)))
     return Verdict(name, "holds")
 
 
@@ -442,16 +396,15 @@ def check_condition_C(game: Game, h: Pairing) -> Verdict:
     """Everything dominated at h has a dominator that is itself
     undominated at h."""
     name = "condition-C"
+    full = full_pairing(game)
     for i in range(game.n):
-        if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
+        if not all(h[j] for j in range(game.n) if j != i):
             continue
-        domain = _full_domain(game, i)
-        dominated = _region_where(game, h, i, domain=domain)
-        undominated = _factor_minus(domain, dominated)
-        good = _region_where(game, h, i, domain=dominated, member=undominated)
-        bad = _factor_minus(dominated, good)
-        if not factor_is_empty(bad):
-            return Verdict(name, "fails", witness=(i + 1, _factor_pick(game, i, bad)))
+        dominated = _region_where(game, h, i, domain=full[i])
+        good = _region_where(game, h, i, domain=dominated, member=full[i] - dominated)
+        bad = dominated - good
+        if bad:
+            return Verdict(name, "fails", witness=(i + 1, factor_pick(game, i, bad)))
     return Verdict(name, "holds")
 
 
@@ -464,16 +417,16 @@ class DominatorSearch:
 def find_undominated_dominator(game: Game, h: Pairing, i: int, x) -> DominatorSearch:
     """A dominator of x at h that is itself undominated at h, drawn from
     the player's surviving set. A continuum miss is inconclusive."""
-    if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
+    if not all(h[j] for j in range(game.n) if j != i):
         raise GameError("precondition unmet: an opponent factor is empty")
     d = dominator_set(game, h, i, x).strategies
-    if factor_is_empty(d):
+    if not d:
         raise GameError("precondition unmet: the strategy is not dominated")
     if game.is_finite:
+        dom = _finite_rows(game, i).dominators(h)
         for y in game.labels(i):
-            if y in d and y in h[i]:
-                if not dominator_set(game, h, i, y).strategies:
-                    return DominatorSearch(y, True)
+            if y in d and y in h[i] and not dom[y]:
+                return DominatorSearch(y, True)
         return DominatorSearch(None, True)
     domain = game.carrier(i)
     dominated = _region_where(game, h, i, domain=domain)

@@ -124,6 +124,22 @@ def _parse_profile(text: str, spaces, line: int) -> tuple[str, ...]:
     return parts
 
 
+def _at_rows(rows, pattern, what: str, spaces) -> dict[tuple[str, ...], str]:
+    """Profile to the text after it, for each `at` row of a table block."""
+    out: dict[tuple[str, ...], str] = {}
+    for rline, rtext in rows:
+        m = pattern.match(rtext)
+        if m is None:
+            raise GameParseError(f"bad {what} row {rtext!r}", rline)
+        profile = _parse_profile(m.group(1), spaces, rline)
+        if profile in out:
+            raise GameParseError(
+                f"duplicate row for {m.group(1)}", rline, kind="overlap"
+            )
+        out[profile] = m.group(2)
+    return out
+
+
 class _Lines:
     def __init__(self, text: str):
         self.rows = text.splitlines()
@@ -235,17 +251,10 @@ def parse_game(text: str) -> Game:
                 raise GameParseError(
                     "utilities need a table over finite spaces", lineno
                 )
-            table: dict = {}
-            for rline, rtext in rows:
-                m = _AT_UTIL_RE.match(rtext)
-                if m is None:
-                    raise GameParseError(f"bad utility row {rtext!r}", rline)
-                profile = _parse_profile(m.group(1), ordered, rline)
-                if profile in table:
-                    raise GameParseError(
-                        f"duplicate row for {m.group(1)}", rline, kind="overlap"
-                    )
-                table[profile] = Fraction(m.group(2))
+            table = {
+                x: Fraction(v)
+                for x, v in _at_rows(rows, _AT_UTIL_RE, "utility", ordered).items()
+            }
             for x in itertools.product(*(s.labels for s in ordered)):
                 if x not in table:
                     raise GameParseError(
@@ -261,22 +270,10 @@ def parse_game(text: str) -> Game:
                     "finite spaces take table: blocks", lineno
                 )
             table = {}
-            for rline, rtext in rows:
-                m = _AT_TABLE_RE.match(rtext)
-                if m is None:
-                    raise GameParseError(f"bad table row {rtext!r}", rline)
-                profile = _parse_profile(m.group(1), ordered, rline)
-                if profile in table:
-                    raise GameParseError(
-                        f"duplicate row for {m.group(1)}", rline, kind="overlap"
-                    )
-                body = m.group(2).strip()
-                if body:
-                    sep = "," if "," in body else None
-                    labels = [s.strip() for s in body.split(sep)]
-                else:
-                    labels = []
-                table[profile] = frozenset(labels)
+            for x, body in _at_rows(rows, _AT_TABLE_RE, "table", ordered).items():
+                body = body.strip()
+                sep = "," if "," in body else None
+                table[x] = frozenset(s.strip() for s in body.split(sep))
             corr = FiniteTable(player, table)
             try:
                 validate_finite_table(game, corr)

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Union
 
 from .games import (
@@ -50,28 +52,23 @@ class Operator(Enum):
     TAIL = "tail"
 
 
-def factor_is_empty(f: Factor) -> bool:
-    return f.is_empty if isinstance(f, IntervalSet) else not f
-
-
 def full_pairing(game: Game) -> Pairing:
-    out = []
-    for space in game.spaces:
-        if isinstance(space, FiniteSpace):
-            out.append(frozenset(space.labels))
-        else:
-            out.append(space.carrier)
-    return tuple(out)
+    return tuple(
+        frozenset(s.labels) if isinstance(s, FiniteSpace) else s.carrier
+        for s in game.spaces
+    )
 
 
 def pairing_is_subset(a: Pairing, b: Pairing) -> bool:
-    for x, y in zip(a, b):
-        if isinstance(x, IntervalSet):
-            if not x.is_subset(y):
-                return False
-        elif not x <= y:
-            return False
-    return True
+    return all(x <= y for x, y in zip(a, b))
+
+
+def factor_pick(game: Game, i: int, f: Factor):
+    """A member of a nonempty factor: the first in label order for finite
+    games, so witnesses do not depend on set iteration order."""
+    if isinstance(f, IntervalSet):
+        return f.pick()
+    return next(s for s in game.labels(i) if s in f)
 
 
 def render_factor(game: Game, i: int, f: Factor) -> str:
@@ -87,9 +84,60 @@ def render_pairing(game: Game, h: Pairing) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class DominatorSet:
-    player: int
-    base: object
     strategies: Factor
+
+
+class _FiniteRows:
+    """Player i's finite preference table as int masks over game.labels(i).
+
+    cols[x][o] is the mask of P_i at own strategy x and opponent profile o,
+    o being the mixed-radix index of the opponents' labels in product order.
+    dominators(h) memoises, per opponent factors, the dominator mask of every
+    own strategy: the AND of its column over the surviving opponent profiles.
+    """
+
+    def __init__(self, game: Game, i: int):
+        self.labels = game.labels(i)
+        self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
+        self.opp = [j for j in range(game.n) if j != i]
+        self.index = {j: {s: k for k, s in enumerate(game.labels(j))} for j in self.opp}
+        axes = [game.labels(j) for j in self.opp]
+        self.cols = {
+            x: [
+                self.mask(eval_value(game, game.prefs[i], o[:i] + (x,) + o[i:]))
+                for o in itertools.product(*axes)
+            ]
+            for x in self.labels
+        }
+        self.memo: dict[tuple, dict[str, int]] = {}
+
+    def mask(self, f: frozenset) -> int:
+        return sum(map(self.bit.__getitem__, f))
+
+    def members(self, m: int) -> frozenset:
+        return frozenset(s for s, b in self.bit.items() if m & b)
+
+    def dominators(self, h: Pairing) -> dict[str, int]:
+        key = tuple(h[j] for j in self.opp)
+        if key not in self.memo:
+            flat = [0]
+            for j, f in zip(self.opp, key):
+                idx = self.index[j]
+                flat = [o * len(idx) + idx[s] for o in flat for s in f]
+            full = (1 << len(self.labels)) - 1
+            self.memo[key] = {
+                x: reduce(and_, map(col.__getitem__, flat), full)
+                for x, col in self.cols.items()
+            }
+        return self.memo[key]
+
+
+def _finite_rows(game: Game, i: int) -> _FiniteRows:
+    """The compiled form of player i's table, built on first use."""
+    corr = game.prefs[i]
+    if corr._rows is None:
+        corr._rows = _FiniteRows(game, i)
+    return corr._rows
 
 
 def _sym_bound(expr, closed: bool, x: Fraction, own: int, overlaps, low_side: bool):
@@ -120,25 +168,12 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     """
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
-        if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
-            return DominatorSet(i + 1, x, frozenset(game.labels(i)))
-        opp_axes = [
-            [s for s in game.labels(j) if s in h[j]]
-            for j in range(game.n)
-            if j != i
-        ]
-        result = None
-        for opp in itertools.product(*opp_axes):
-            profile = opp[:i] + (x,) + opp[i:]
-            v = eval_value(game, corr, profile)
-            result = v if result is None else result & v
-            if not result:
-                break
-        return DominatorSet(i + 1, x, frozenset(result))
+        rows = _finite_rows(game, i)
+        return DominatorSet(rows.members(rows.dominators(h)[x]))
 
     carrier = game.carrier(i)
-    if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
-        return DominatorSet(i + 1, x, carrier)
+    if not all(h[j] for j in range(game.n) if j != i):
+        return DominatorSet(carrier)
     result = carrier
     for piece in corr.pieces:
         if not piece.cell.factors[i].contains(x):
@@ -173,7 +208,7 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
             break
     if corr.clip is not None:
         result = result.intersect(corr.clip)
-    return DominatorSet(i + 1, x, result)
+    return DominatorSet(result)
 
 
 def _condition_holds(
@@ -181,13 +216,10 @@ def _condition_holds(
 ) -> bool:
     d = dominator_set(game, h, i, x).strategies
     if member is not None:
-        d = d.intersect(member) if isinstance(d, IntervalSet) else d & member
+        d = d & member
     if exclude_self:
-        if isinstance(d, IntervalSet):
-            d = d.difference(IntervalSet.point(x))
-        else:
-            d = d - {x}
-    return not factor_is_empty(d)
+        d = d - IntervalSet.point(x)
+    return bool(d)
 
 
 def _breakpoints(game: Game, h: Pairing, i: int, extra: list[IntervalSet]) -> list[Fraction]:
@@ -235,13 +267,16 @@ def _region_where(
     intersected with member (minus x itself when exclude_self), nonempty.
     An empty opponent factor yields the empty region.
     """
-    if any(factor_is_empty(h[j]) for j in range(game.n) if j != i):
+    if not all(h[j] for j in range(game.n) if j != i):
         return frozenset() if isinstance(domain, frozenset) else IntervalSet.empty()
     if isinstance(domain, frozenset):
+        rows = _finite_rows(game, i)
+        dom = rows.dominators(h)
+        keep = -1 if member is None else rows.mask(member)
         return frozenset(
             x
             for x in domain
-            if _condition_holds(game, h, i, x, member, exclude_self)
+            if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
         )
     # The condition is piecewise constant between breakpoints: every
     # comparison pits x against a fixed rational, so one representative
@@ -283,6 +318,7 @@ def restrict(game: Game, h: Pairing) -> Game:
     Values are cut down to the surviving sets; finite tables are rebuilt,
     continuum maps keep their pieces and gain a clip.
     """
+    utils = game.utils
     if game.is_finite:
         spaces = tuple(
             FiniteSpace(tuple(s for s in game.labels(i) if s in h[i]))
@@ -291,47 +327,31 @@ def restrict(game: Game, h: Pairing) -> Game:
         kept = list(itertools.product(*(s.labels for s in spaces)))
 
         def cut(corr: FiniteTable, i: int) -> FiniteTable:
-            return FiniteTable(
-                corr.player,
-                {x: corr.table[x] & h[i] for x in kept},
+            return FiniteTable(corr.player, {x: corr.table[x] & h[i] for x in kept})
+
+        if utils is not None:
+            utils = tuple(
+                UtilityTable(u.player, {x: u.table[x] for x in kept}) for u in utils
             )
+    else:
+        spaces = tuple(ContinuumSpace(h[i]) for i in range(game.n))
 
-        prefs = tuple(cut(c, i) for i, c in enumerate(game.prefs))
-        comps = (
-            tuple(cut(c, i) for i, c in enumerate(game.comps))
-            if game.comps is not None
-            else None
-        )
-        utils = (
-            tuple(
-                UtilityTable(u.player, {x: u.table[x] for x in kept})
-                for u in game.utils
-            )
-            if game.utils is not None
-            else None
-        )
-        return replace(
-            game, spaces=spaces, prefs=prefs, comps=comps, utils=utils
-        )
+        def cut(corr: PiecewiseMap, i: int) -> PiecewiseMap:
+            pieces = []
+            for piece in corr.pieces:
+                factors = tuple(
+                    f.intersect(h[j]) for j, f in enumerate(piece.cell.factors)
+                )
+                if any(f.is_empty for f in factors):
+                    continue
+                pieces.append(Piece(Cell(factors), piece.value))
+            clip = h[i] if corr.clip is None else corr.clip.intersect(h[i])
+            return PiecewiseMap(corr.player, tuple(pieces), clip=clip)
 
-    spaces = tuple(ContinuumSpace(h[i]) for i in range(game.n))
-
-    def cut_piecewise(corr: PiecewiseMap, i: int) -> PiecewiseMap:
-        pieces = []
-        for piece in corr.pieces:
-            factors = tuple(
-                f.intersect(h[j]) for j, f in enumerate(piece.cell.factors)
-            )
-            if any(f.is_empty for f in factors):
-                continue
-            pieces.append(Piece(Cell(factors), piece.value))
-        clip = h[i] if corr.clip is None else corr.clip.intersect(h[i])
-        return PiecewiseMap(corr.player, tuple(pieces), clip=clip)
-
-    prefs = tuple(cut_piecewise(c, i) for i, c in enumerate(game.prefs))
+    prefs = tuple(cut(c, i) for i, c in enumerate(game.prefs))
     comps = (
-        tuple(cut_piecewise(c, i) for i, c in enumerate(game.comps))
-        if game.comps is not None
-        else None
+        None
+        if game.comps is None
+        else tuple(cut(c, i) for i, c in enumerate(game.comps))
     )
-    return replace(game, spaces=spaces, prefs=prefs, comps=comps)
+    return replace(game, spaces=spaces, prefs=prefs, comps=comps, utils=utils)

@@ -10,7 +10,7 @@ the two backends never mix within one game.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -110,8 +110,17 @@ class PiecewiseMap:
 
 @dataclass
 class FiniteTable:
+    """Finite correspondence: each profile maps to a set of own labels.
+
+    A table is treated as immutable once built. The engine caches a
+    compiled form of it in ``_rows`` (left out of equality and repr) on
+    first use, so change a game by building new tables, as ``restrict``,
+    ``discretize`` and derivation do.
+    """
+
     player: int
     table: dict[Profile, frozenset[str]]
+    _rows: object = field(default=None, init=False, repr=False, compare=False)
 
 
 CorrMap = Union[PiecewiseMap, FiniteTable]
@@ -178,23 +187,32 @@ def eval_value(game: Game, corr: CorrMap, profile: Profile):
             raise GameError(f"no table row for profile {profile}") from None
     for piece in corr.pieces:
         if piece.cell.contains(profile):
-            if isinstance(piece.value, EmptyValue):
-                return IntervalSet.empty()
-            v = piece.value
-            out = IntervalSet.interval(
-                resolve_endpoint(v.lo, profile),
-                resolve_endpoint(v.hi, profile),
-                v.lo_closed,
-                v.hi_closed,
-            )
-            if corr.clip is not None:
-                out = out.intersect(corr.clip)
-            return out
+            return piece_value(corr, piece, profile)
     raise GameError(f"profile {profile} not covered by any piece")
 
 
+def piece_value(corr: PiecewiseMap, piece: Piece, profile: Profile) -> IntervalSet:
+    """A piece's value at a profile of its cell, cut to the map's clip."""
+    if isinstance(piece.value, EmptyValue):
+        return IntervalSet.empty()
+    v = piece.value
+    out = IntervalSet.interval(
+        resolve_endpoint(v.lo, profile),
+        resolve_endpoint(v.hi, profile),
+        v.lo_closed,
+        v.hi_closed,
+    )
+    if corr.clip is not None:
+        out = out.intersect(corr.clip)
+    return out
+
+
 def derive_pref_from_utility(game: Game) -> Game:
-    """Fill P_i(x) = strategies y_i with u_i(y_i, x_-i) > u_i(x)."""
+    """Fill P_i(x) = strategies y_i with u_i(y_i, x_-i) > u_i(x).
+
+    Own strategies are sorted by utility once per opponent profile, and
+    strategies tied in utility share one "strictly better" set.
+    """
     if not game.is_finite:
         raise GameError("utility-derived preferences need finite spaces")
     if game.utils is None:
@@ -202,13 +220,18 @@ def derive_pref_from_utility(game: Game) -> Game:
     prefs = []
     for i in range(game.n):
         u = game.utils[i].table
-        table: dict[Profile, frozenset[str]] = {}
-        for x in game.profiles():
-            base = u[x]
-            better = [
-                y for y in game.labels(i) if u[x[:i] + (y,) + x[i + 1 :]] > base
-            ]
-            table[x] = frozenset(better)
+        rows = {}
+        opp_axes = [game.labels(j) for j in range(game.n) if j != i]
+        for opp in itertools.product(*opp_axes):
+            value = {y: u[opp[:i] + (y,) + opp[i:]] for y in game.labels(i)}
+            row = rows[opp] = {}
+            above: list[str] = []
+            for y in sorted(value, key=value.__getitem__, reverse=True):
+                if not above or value[y] < value[above[-1]]:
+                    better = frozenset(above)
+                row[y] = better
+                above.append(y)
+        table = {x: rows[x[:i] + x[i + 1 :]][x[i]] for x in game.profiles()}
         prefs.append(FiniteTable(i + 1, table))
     return replace(game, prefs=tuple(prefs), prefs_derived=True)
 

@@ -155,7 +155,8 @@ class IntervalSet:
             yield part.hi.value
 
     def contains(self, p: Fraction | int) -> bool:
-        p = Fraction(p)
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
         return any(part.contains(p) for part in self.parts)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
@@ -224,6 +225,15 @@ class IntervalSet:
 
     def __str__(self) -> str:
         return self.render()
+
+    # frozenset's operators, so finite and interval factors read alike
+    def __bool__(self) -> bool:
+        return bool(self.parts)
+
+    __contains__ = contains
+    __and__ = intersect
+    __sub__ = difference
+    __le__ = is_subset
 
 
 _RAT = r"-?\d+(?:/\d+)?"

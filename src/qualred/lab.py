@@ -29,19 +29,21 @@ from .engine import (
     Operator,
     Pairing,
     eliminated_region,
-    factor_is_empty,
     full_pairing,
     render_pairing,
     restrict,
 )
 from .games import (
+    Coord,
     FiniteSpace,
     FiniteTable,
     Game,
     GameError,
+    SymInterval,
     UtilityTable,
     derive_pref_from_utility,
     eval_value,
+    piece_value,
 )
 from .reduction import InvalidRemoval, ReductionTrace, path_step, star_reduce
 
@@ -171,12 +173,28 @@ def generate_game(config: GeneratorConfig) -> Game:
     )
 
 
+def _grid_members(vals: list[Fraction], s) -> list[int]:
+    """Indices of the sorted grid vals that lie in the interval set s."""
+    out: list[int] = []
+    for part in s:
+        a = bisect.bisect_left(vals, part.lo.value)
+        if a < len(vals) and vals[a] == part.lo.value and not part.lo.closed:
+            a += 1
+        b = bisect.bisect_right(vals, part.hi.value)
+        if b > 0 and vals[b - 1] == part.hi.value and not part.hi.closed:
+            b -= 1
+        out.extend(range(a, b))
+    return out
+
+
 def discretize(game: Game, step) -> Game:
     """Finite snapshot of a continuum game on an even rational grid.
 
     The grid is refined with every piece-cell endpoint so no cell falls
-    between grid points; tables come from evaluating at grid profiles and
-    keeping the grid members.
+    between grid points. Each table entry is the value eval_value gives at
+    the grid profile, cut down to the grid members it contains; tables are
+    filled piece by piece, evaluating a value once per distinct pair of
+    resolved endpoints, and the first piece covering a profile wins.
     """
     if game.is_finite:
         raise GameError("discretize needs interval spaces")
@@ -209,27 +227,36 @@ def discretize(game: Game, step) -> Game:
                         points.add(b.hi.value)
         axes.append(sorted(p for p in points if carrier.contains(p)))
     spaces = tuple(FiniteSpace(tuple(str(p) for p in ax)) for ax in axes)
-    axis_pairs = [list(zip(s.labels, ax)) for s, ax in zip(spaces, axes)]
 
     def tabulate(corr, i: int) -> FiniteTable:
-        vals = axes[i]
-        labs = spaces[i].labels
+        labels = spaces[i].labels
+        filled: dict[tuple[int, ...], frozenset[str]] = {}
+        for piece in corr.pieces:
+            v = piece.value
+            # the value depends on the profile only through the coordinates
+            # its endpoints name
+            named = [
+                e.player - 1
+                for e in ((v.lo, v.hi) if isinstance(v, SymInterval) else ())
+                if isinstance(e, Coord)
+            ]
+            memo: dict[tuple[int, ...], frozenset[str]] = {}
+            cell = [_grid_members(ax, f) for ax, f in zip(axes, piece.cell.factors)]
+            for idx in itertools.product(*cell):
+                if idx in filled:
+                    continue
+                key = tuple(idx[j] for j in named)
+                if key not in memo:
+                    profile = tuple(ax[k] for ax, k in zip(axes, idx))
+                    value = piece_value(corr, piece, profile)
+                    memo[key] = frozenset(labels[k] for k in _grid_members(axes[i], value))
+                filled[idx] = memo[key]
         table = {}
-        for combo in itertools.product(*axis_pairs):
-            profile = tuple(c[0] for c in combo)
-            frac = tuple(c[1] for c in combo)
-            value = eval_value(game, corr, frac)
-            members: list[str] = []
-            # grid points inside each part, located by binary search
-            for part in value:
-                a = bisect.bisect_left(vals, part.lo.value)
-                if a < len(vals) and vals[a] == part.lo.value and not part.lo.closed:
-                    a += 1
-                b = bisect.bisect_right(vals, part.hi.value)
-                if b > 0 and vals[b - 1] == part.hi.value and not part.hi.closed:
-                    b -= 1
-                members.extend(labs[a:b])
-            table[profile] = frozenset(members)
+        for idx in itertools.product(*(range(len(ax)) for ax in axes)):
+            if idx not in filled:
+                at = tuple(ax[k] for ax, k in zip(axes, idx))
+                raise GameError(f"profile {at} not covered by any piece")
+            table[tuple(sp.labels[k] for sp, k in zip(spaces, idx))] = filled[idx]
         return FiniteTable(i + 1, table)
 
     prefs = tuple(tabulate(c, i) for i, c in enumerate(game.prefs))
@@ -467,7 +494,7 @@ def _stage_at(trace: ReductionTrace, t: int) -> Pairing:
 def _check_limit_containment(game, traces) -> str | None:
     tail = traces[Operator.TAIL].final
     double = traces[Operator.DOUBLE].final
-    if any(factor_is_empty(f) for f in tail + double):
+    if not all(tail + double):
         return None
     for i in range(game.n):
         if not tail[i] <= double[i]:

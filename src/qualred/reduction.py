@@ -27,7 +27,7 @@ from .engine import (
     Operator,
     Pairing,
     eliminated_region,
-    factor_is_empty,
+    factor_pick,
     full_pairing,
     _region_where,
 )
@@ -68,63 +68,36 @@ class PathScriptError(GameError):
         self.line = line
 
 
-def _factor_minus(a: Factor, b: Factor) -> Factor:
-    if isinstance(a, IntervalSet):
-        return a.difference(b)
-    return a - b
-
-
-def _factor_subset(a: Factor, b: Factor) -> bool:
-    if isinstance(a, IntervalSet):
-        return a.is_subset(b)
-    return a <= b
-
-
-def _witness_outside(game: Game, i: int, removed: Factor, region: Factor):
-    bad = _factor_minus(removed, region)
-    if isinstance(bad, IntervalSet):
-        return bad.pick()
-    order = {s: k for k, s in enumerate(game.labels(i))}
-    return min(bad, key=order.__getitem__)
-
-
 def _empty_like(f: Factor) -> Factor:
     return IntervalSet.empty() if isinstance(f, IntervalSet) else frozenset()
 
 
-def _step_regions(
-    game: Game, pre: Pairing, post: Pairing, removals: dict[int, Factor], op: Operator
-) -> dict[int, Factor]:
-    """Region of each removal set satisfying the operator's path condition."""
-    out = {}
-    for i, removed in removals.items():
-        if op is Operator.ARROW:
-            out[i] = _region_where(game, pre, i, domain=removed)
-        elif op is Operator.TAIL:
-            out[i] = _region_where(game, post, i, domain=removed)
-        else:
-            out[i] = _region_where(
-                game, post, i, domain=removed, member=pre[i], exclude_self=True
-            )
-    return out
+def _step_region(
+    game: Game, pre: Pairing, post: Pairing, i: int, removed: Factor, op: Operator,
+    audit: bool = False,
+) -> Factor:
+    """Part of a removal set meeting the operator's path condition, or with
+    audit on, the literal operator condition on the produced pairing."""
+    if op is Operator.ARROW:
+        return _region_where(game, pre, i, domain=removed)
+    if op is Operator.TAIL:
+        return _region_where(game, post, i, domain=removed)
+    if audit:
+        return _region_where(game, post, i, domain=removed, member=post[i])
+    return _region_where(
+        game, post, i, domain=removed, member=pre[i], exclude_self=True
+    )
 
 
 def _audit_step(
     game: Game, post: Pairing, removals: dict[int, Factor], op: Operator, pre: Pairing
 ) -> bool:
     """Literal operator condition on the produced pairing, per removed point."""
-    for i, removed in removals.items():
-        if factor_is_empty(removed):
-            continue
-        if op is Operator.ARROW:
-            region = _region_where(game, pre, i, domain=removed)
-        elif op is Operator.TAIL:
-            region = _region_where(game, post, i, domain=removed)
-        else:
-            region = _region_where(game, post, i, domain=removed, member=post[i])
-        if not _factor_subset(removed, region):
-            return False
-    return True
+    return all(
+        removed <= _step_region(game, pre, post, i, removed, op, audit=True)
+        for i, removed in removals.items()
+        if removed
+    )
 
 
 def fast_step(
@@ -132,10 +105,8 @@ def fast_step(
 ) -> tuple[Pairing, tuple[Factor, ...], bool]:
     """Remove every currently eliminable strategy of every player at once."""
     removed = tuple(eliminated_region(game, h, i, op) for i in range(game.n))
-    new = tuple(_factor_minus(h[i], removed[i]) for i in range(game.n))
-    removals = {i: removed[i] for i in range(game.n)}
-    audit = _audit_step(game, new, removals, op, pre=h)
-    return new, removed, audit
+    new = tuple(h[i] - removed[i] for i in range(game.n))
+    return new, removed, _audit_step(game, new, dict(enumerate(removed)), op, pre=h)
 
 
 def star_reduce(game: Game, op: Operator, max_iters: int = 1000) -> ReductionTrace:
@@ -152,7 +123,7 @@ def star_reduce(game: Game, op: Operator, max_iters: int = 1000) -> ReductionTra
         stages.append(new)
         eliminated.append(removed)
         audits.append(audit)
-        if any(factor_is_empty(f) for f in new):
+        if not all(new):
             status = TraceStatus.VACUOUS
             break
     return ReductionTrace(
@@ -179,25 +150,22 @@ def path_step(
     witness strategy. Subset violations always raise.
     """
     for i, removed in removals.items():
-        if not _factor_subset(removed, h[i]):
-            witness = _witness_outside(game, i, removed, h[i])
+        if not removed <= h[i]:
+            witness = factor_pick(game, i, removed - h[i])
             raise InvalidRemoval(
                 i + 1,
                 witness,
                 f"player {i + 1}: removal of {witness} is outside the "
                 "current strategy set",
             )
-    new = list(h)
-    for i, removed in removals.items():
-        new[i] = _factor_minus(h[i], removed)
-    post = tuple(new)
-    regions = _step_regions(game, h, post, removals, op)
+    post = tuple(h[i] - removals[i] if i in removals else h[i] for i in range(game.n))
     valid = True
     for i, removed in removals.items():
-        if not _factor_subset(removed, regions[i]):
+        region = _step_region(game, h, post, i, removed, op)
+        if not removed <= region:
             valid = False
             if validate:
-                witness = _witness_outside(game, i, removed, regions[i])
+                witness = factor_pick(game, i, removed - region)
                 raise InvalidRemoval(
                     i + 1,
                     witness,
@@ -230,10 +198,10 @@ def run_path(
         eliminated.append(removed_row)
         audits.append(audit)
         valids.append(valid)
-        if any(factor_is_empty(f) for f in post):
+        if not all(post):
             break
     final = stages[-1]
-    if any(factor_is_empty(f) for f in final):
+    if not all(final):
         status = TraceStatus.VACUOUS
     elif is_maximal(game, final, op):
         status = TraceStatus.CONVERGED
@@ -254,10 +222,7 @@ def run_path(
 
 def is_maximal(game: Game, h: Pairing, op: Operator) -> bool:
     """True when no player has anything left to eliminate at h."""
-    return all(
-        factor_is_empty(eliminated_region(game, h, i, op))
-        for i in range(game.n)
-    )
+    return not any(eliminated_region(game, h, i, op) for i in range(game.n))
 
 
 _STEP_RE = re.compile(r"^step:\s*(.*)$")

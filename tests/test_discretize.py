@@ -1,0 +1,102 @@
+"""discretize against a tabulation by eval_value at every grid profile.
+
+discretize fills its tables piece by piece; these tests rebuild every table
+entry here from eval_value on the continuum game, on the fixtures, on
+restricted games (whose maps carry a clip), and on seeded piecewise games.
+"""
+
+import itertools
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from qualred.dsl import parse_game
+from qualred.engine import restrict
+from qualred.games import EMPTY_VALUE, Cell, GameError, Piece, PiecewiseMap, eval_value
+from qualred.intervals import IntervalSet
+from qualred.lab import discretize
+from test_cell_scan import random_game_text
+
+I = IntervalSet.interval
+P = IntervalSet.point
+
+CONTINUUM_FIXTURES = ["fx1.qg", "fx4.qg", "fx5-derived.qg", "fx5-as-printed.qg"]
+
+
+def assert_tabulates(game, step):
+    snap = discretize(game, step)
+    profiles = list(itertools.product(*(snap.labels(i) for i in range(snap.n))))
+    groups = [(game.prefs, snap.prefs)]
+    if game.comps is not None:
+        groups.append((game.comps, snap.comps))
+    for corrs, tables in groups:
+        for i, (corr, table) in enumerate(zip(corrs, tables)):
+            # rows are stored in product order
+            assert list(table.table) == profiles
+            for x in profiles:
+                value = eval_value(game, corr, tuple(F(s) for s in x))
+                want = frozenset(s for s in snap.labels(i) if value.contains(F(s)))
+                assert table.table[x] == want, (i, x)
+    return snap
+
+
+@pytest.mark.parametrize("name", CONTINUUM_FIXTURES)
+@pytest.mark.parametrize("step", [F(1, 2), F(1, 6)])
+def test_discretize_fixtures(load_game, name, step):
+    assert_tabulates(load_game(name), step)
+
+
+@pytest.mark.parametrize(
+    "name, keep",
+    [
+        ("fx1.qg", (I(0, F(1, 2)).union(P(1)), I(F(1, 4), 1))),
+        ("fx5-derived.qg", (I(F(1, 2), 1), I(0, F(3, 4)))),
+        ("fx4.qg", (I(0, 1), I(F(1, 2), 2, False, True))),
+    ],
+)
+def test_discretize_restricted_game(load_game, name, keep):
+    game = restrict(load_game(name), keep)
+    assert all(corr.clip is not None for corr in game.prefs)
+    snap = assert_tabulates(game, F(1, 4))
+    for i, factor in enumerate(keep):
+        assert all(factor.contains(F(s)) for s in snap.labels(i))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_discretize_random_piecewise_games(seed, n):
+    text = random_game_text(seed, n, comps=seed % 2 == 0, shaped=seed % 3 == 0)
+    game = parse_game(text)
+    assert_tabulates(game, F(1, 4) if n == 2 else F(1, 2))
+
+
+def test_discretize_uncovered_profile_raises_like_eval_value(load_game):
+    game = load_game("fx1.qg")
+    grid = discretize(game, F(1, 2))
+    # drop player 1's piece at x1 = 1; its endpoints stay on the grid
+    pruned = replace(game.prefs[0], pieces=game.prefs[0].pieces[:1])
+    assert isinstance(pruned, PiecewiseMap)
+    broken = replace(game, prefs=(pruned, game.prefs[1]))
+    first = None
+    for x in itertools.product(*(grid.labels(i) for i in range(grid.n))):
+        try:
+            eval_value(broken, pruned, tuple(F(s) for s in x))
+        except GameError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    with pytest.raises(GameError) as caught:
+        discretize(broken, F(1, 2))
+    assert str(caught.value) == first
+
+
+
+def test_discretize_first_covering_piece_wins(load_game):
+    game = load_game("fx1.qg")
+    # an unvalidated map whose first piece overlaps the others on x1 <= 1/2
+    cover = Piece(Cell((I(0, F(1, 2)), game.carrier(1))), EMPTY_VALUE)
+    shadowed = replace(game.prefs[0], pieces=(cover, *game.prefs[0].pieces))
+    snap = assert_tabulates(replace(game, prefs=(shadowed, game.prefs[1])), F(1, 4))
+    assert snap.prefs[0].table[("1/4", "0")] == frozenset()
+    assert snap.prefs[0].table[("3/4", "0")] == frozenset({"1"})
