@@ -29,6 +29,7 @@ from .games import (
     box_pick_point,
     boxes_subtract,
     eval_value,
+    piece_value,
 )
 from .intervals import IntervalSet
 from .engine import (
@@ -44,8 +45,6 @@ from .engine import (
 def _fmt(value) -> str:
     if isinstance(value, tuple):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
-    if isinstance(value, IntervalSet):
-        return value.render()
     return str(value)
 
 
@@ -283,16 +282,6 @@ def check_q_closed_convex(game: Game) -> Verdict:
     return _check_pointwise(game, name, pred)
 
 
-def _half_line(pivot: Fraction, closed: bool, upper: bool, hull: IntervalSet) -> IntervalSet:
-    lo_v, _ = hull.inf()
-    hi_v, _ = hull.sup()
-    if upper:
-        s = IntervalSet.interval(pivot, max(hi_v, pivot), closed, True)
-    else:
-        s = IntervalSet.interval(min(lo_v, pivot), pivot, True, closed)
-    return s.intersect(hull)
-
-
 def check_open_lower_sections(game: Game) -> Verdict:
     """Each set of profiles ranking a fixed strategy above the current one
     must be open in the product (relative to the carriers)."""
@@ -447,100 +436,30 @@ class MaximalElements:
 
 
 def _value_empty_boxes(game: Game, corr: PiecewiseMap, piece) -> list[Box]:
-    """Boxes inside the piece's cell where the evaluated value is empty."""
+    """The part of the piece's cell where its value, clip included, is empty.
+
+    The value reads at most one coordinate j and compares it only with its
+    constant ends and the clip's endpoints, so a scan of the cell's factor j
+    over those cuts decides the region exactly. A constant value reads no
+    coordinate; scanning factor 0 then keeps all of it or nothing.
+    """
     cell: Box = tuple(piece.cell.factors)
-    if isinstance(piece.value, EmptyValue):
-        return [cell]
     v = piece.value
-    n = game.n
-    hulls = [game.carrier(j) for j in range(n)]
-    out: list[Box] = []
-
-    def constrained(player: int, s: IntervalSet) -> Box:
-        return tuple(
-            cell[j].intersect(s) if j == player - 1 else cell[j]
-            for j in range(n)
+    if isinstance(v, EmptyValue):
+        return [cell]
+    read = {e.player - 1 for e in (v.lo, v.hi) if isinstance(e, Coord)}
+    if len(read) > 1:
+        raise GameError(
+            "region extraction does not support values whose two "
+            "endpoints track different players"
         )
-
-    both_closed = v.lo_closed and v.hi_closed
-    if isinstance(v.lo, Coord) and isinstance(v.hi, Coord):
-        if v.lo.player != v.hi.player:
-            raise GameError(
-                "region extraction does not support values whose two "
-                "endpoints track different players"
-            )
-        if not both_closed:
-            out.append(cell)
-    elif isinstance(v.lo, Coord):
-        c = v.hi.value
-        box = constrained(
-            v.lo.player,
-            _half_line(c, not both_closed, True, hulls[v.lo.player - 1]),
-        )
-        if not box_is_empty(box):
-            out.append(box)
-    elif isinstance(v.hi, Coord):
-        c = v.lo.value
-        box = constrained(
-            v.hi.player,
-            _half_line(c, not both_closed, False, hulls[v.hi.player - 1]),
-        )
-        if not box_is_empty(box):
-            out.append(box)
-    else:
-        if IntervalSet.interval(v.lo.value, v.hi.value, v.lo_closed, v.hi_closed).is_empty:
-            out.append(cell)
-
+    j = read.pop() if read else 0
+    cuts = [e.value for e in (v.lo, v.hi) if isinstance(e, Const)]
     if corr.clip is not None:
-        # the clipped value empties when the raw interval misses every part
-        options_per_part: list[list[tuple[int, IntervalSet] | None | str]] = []
-        for part in corr.clip.parts:
-            opts: list = []
-            # raw upper end strictly left of the part
-            a, alpha = part.lo.value, part.lo.closed
-            strict = alpha and v.hi_closed
-            if isinstance(v.hi, Coord):
-                opts.append(
-                    (
-                        v.hi.player,
-                        _half_line(a, not strict, False, hulls[v.hi.player - 1]),
-                    )
-                )
-            elif (v.hi.value < a) or (v.hi.value == a and not strict):
-                opts.append("always")
-            # raw lower end strictly right of the part
-            b, beta = part.hi.value, part.hi.closed
-            strict = beta and v.lo_closed
-            if isinstance(v.lo, Coord):
-                opts.append(
-                    (
-                        v.lo.player,
-                        _half_line(b, not strict, True, hulls[v.lo.player - 1]),
-                    )
-                )
-            elif (v.lo.value > b) or (v.lo.value == b and not strict):
-                opts.append("always")
-            if not opts:
-                opts = []  # this part is always hit: no clip-miss this way
-            options_per_part.append(opts)
-        if all(options_per_part):
-            for combo in itertools.product(*options_per_part):
-                box = cell
-                dead = False
-                for opt in combo:
-                    if opt == "always":
-                        continue
-                    player, constraint = opt
-                    box = tuple(
-                        box[j].intersect(constraint) if j == player - 1 else box[j]
-                        for j in range(n)
-                    )
-                    if box_is_empty(box):
-                        dead = True
-                        break
-                if not dead:
-                    out.append(box)
-    return out
+        cuts.extend(corr.clip.endpoints())
+    n = game.n
+    factor = cell[j].select(cuts, lambda t: piece_value(corr, piece, (t,) * n).is_empty)
+    return [cell[:j] + (factor,) + cell[j + 1 :]] if factor else []
 
 
 def _merge_boxes(boxes: list[Box]) -> list[Box]:

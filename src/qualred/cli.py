@@ -113,14 +113,12 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _factor_label(factor) -> str:
+def _factor_label(factor: IntervalSet) -> str:
     """Box factor for maximal-element output: bare rational for a point."""
-    if isinstance(factor, IntervalSet):
-        parts = list(factor)
-        if len(parts) == 1 and parts[0].is_degenerate():
-            return str(parts[0].lo.value)
-        return factor.render()
-    return str(factor)
+    parts = factor.parts
+    if len(parts) == 1 and parts[0].is_degenerate():
+        return str(parts[0].lo.value)
+    return factor.render()
 
 
 def _maximal_payload(m) -> list:

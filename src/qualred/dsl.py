@@ -36,7 +36,12 @@ from .games import (
     validate_finite_table,
     validate_piecewise,
 )
-from .intervals import IntervalSet, IntervalSetParseError, parse_interval_set
+from .intervals import (
+    _RAT,
+    IntervalSet,
+    IntervalSetParseError,
+    parse_interval_set,
+)
 
 
 class GameParseError(GameError):
@@ -52,9 +57,9 @@ _FINITE_BODY_RE = re.compile(r"^\{(.*)\}$")
 _DECL_RE = re.compile(r"^(pref|comp|util)\s+(\d+)\s+(piecewise|table):\s*$")
 _WHEN_RE = re.compile(r"^when\s+(.*?)\s*:\s*(.*)$")
 _AT_TABLE_RE = re.compile(r"^at\s+(.*?)\s*:\s*\{(.*)\}\s*$")
-_AT_UTIL_RE = re.compile(r"^at\s+(.*?)\s*=\s*(-?\d+(?:/\d+)?)\s*$")
+_AT_UTIL_RE = re.compile(rf"^at\s+(.*?)\s*=\s*({_RAT})\s*$")
 _COND_ATOM_RE = re.compile(r"^x(\d+)\s+in\s+(.+)$")
-_EXPR = r"(?:x\d+|-?\d+(?:/\d+)?)"
+_EXPR = rf"(?:x\d+|{_RAT})"
 _VALUE_RE = re.compile(rf"^([\[\(])\s*({_EXPR})\s*,\s*({_EXPR})\s*([\]\)])$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_./+-]+$")
 

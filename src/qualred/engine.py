@@ -222,10 +222,11 @@ def _condition_holds(
     return bool(d)
 
 
-def _breakpoints(game: Game, h: Pairing, i: int, extra: list[IntervalSet]) -> list[Fraction]:
-    values: set[Fraction] = set()
-    for s in extra:
-        values.update(s.endpoints())
+def _breakpoints(
+    game: Game, h: Pairing, i: int, member: Factor | None
+) -> set[Fraction]:
+    """The rationals that player i's dominance condition at h compares x with."""
+    values: set[Fraction] = set() if member is None else set(member.endpoints())
     corr = game.prefs[i]
     if corr.clip is not None:
         values.update(corr.clip.endpoints())
@@ -250,7 +251,7 @@ def _breakpoints(game: Game, h: Pairing, i: int, extra: list[IntervalSet]) -> li
                 o = overlaps[expr.player - 1]
                 values.add(o.sup()[0])
                 values.add(o.inf()[0])
-    return sorted(values)
+    return values
 
 
 def _region_where(
@@ -278,32 +279,12 @@ def _region_where(
             for x in domain
             if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
         )
-    # The condition is piecewise constant between breakpoints: every
-    # comparison pits x against a fixed rational, so one representative
-    # per elementary piece decides the whole piece.
-    extra = [domain]
-    if member is not None:
-        extra.append(member)
-    points = _breakpoints(game, h, i, extra)
-    included: list[IntervalSet] = []
-    for k, b in enumerate(points):
-        single = domain.intersect(IntervalSet.point(b))
-        if not single.is_empty and _condition_holds(
-            game, h, i, b, member, exclude_self
-        ):
-            included.append(single)
-        if k + 1 < len(points):
-            seg = domain.intersect(
-                IntervalSet.interval(b, points[k + 1], False, False)
-            )
-            if not seg.is_empty:
-                rep = (b + points[k + 1]) / 2
-                if _condition_holds(game, h, i, rep, member, exclude_self):
-                    included.append(seg)
-    out = IntervalSet.empty()
-    for part in included:
-        out = out.union(part)
-    return out
+    # The condition is constant at each breakpoint and between them: every
+    # comparison pits x against a fixed rational.
+    return domain.select(
+        _breakpoints(game, h, i, member),
+        lambda t: _condition_holds(game, h, i, t, member, exclude_self),
+    )
 
 
 def eliminated_region(game: Game, h: Pairing, i: int, op: Operator) -> Factor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True, order=False)
@@ -159,6 +159,27 @@ class IntervalSet:
             p = Fraction(p)
         return any(part.contains(p) for part in self.parts)
 
+    def select(
+        self, cuts: Iterable[Fraction], holds: Callable[[Fraction], bool]
+    ) -> "IntervalSet":
+        """The members t with holds(t), for a holds that is constant at each
+        cut and on each open gap between consecutive cuts.
+
+        The set's own endpoints join the cuts, so every gap lies wholly in
+        or out of the set, and one test per cut and per gap inside decides.
+        """
+        points = sorted(set(cuts).union(self.endpoints()))
+        parts = []
+        for k, a in enumerate(points):
+            if a in self and holds(a):
+                parts.append(Interval(Boundary(a, True), Boundary(a, True)))
+            if k + 1 < len(points):
+                b = points[k + 1]
+                mid = (a + b) / 2
+                if mid in self and holds(mid):
+                    parts.append(Interval(Boundary(a, False), Boundary(b, False)))
+        return IntervalSet.from_parts(parts)
+
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_parts(self.parts + other.parts)
 
@@ -236,7 +257,8 @@ class IntervalSet:
     __le__ = is_subset
 
 
-_RAT = r"-?\d+(?:/\d+)?"
+# a rational literal: an integer, or a fraction with a nonzero denominator
+_RAT = r"-?\d+(?:/0*[1-9]\d*)?"
 _PART_RE = re.compile(
     rf"^(?:(?P<bra>[\[\(])\s*(?P<lo>{_RAT})\s*,\s*(?P<hi>{_RAT})\s*(?P<ket>[\]\)])"
     rf"|\{{\s*(?P<pt>{_RAT})\s*\}})$"

@@ -49,6 +49,11 @@ from .reduction import InvalidRemoval, ReductionTrace, path_step, star_reduce
 
 MODE_UTILITY = "utility"
 MODE_RAW = "raw"
+# generate_game draws utility payoffs from PAYOFF_LO..PAYOFF_HI, and makes
+# up to RETRIES draws to meet the requested constraints
+PAYOFF_LO = 0
+PAYOFF_HI = 2
+RETRIES = 200
 
 
 class BoundExceeded(GameError):
@@ -67,9 +72,6 @@ class GeneratorConfig:
     irreflexive: bool = False
     property_t_pair: bool = False
     with_q_reflexive: bool = False
-    payoff_lo: int = 0
-    payoff_hi: int = 2
-    retries: int = 200
 
 
 def _letters(sizes: tuple[int, ...]) -> list[tuple[str, ...]]:
@@ -136,12 +138,12 @@ def generate_game(config: GeneratorConfig) -> Game:
     size_tag = "x".join(str(s) for s in config.sizes)
     name = f"gen-{config.mode}-{size_tag}-{config.seed}"
     checks = _requested_checks(config)
-    for _ in range(config.retries):
+    for _ in range(RETRIES):
         if config.mode == MODE_UTILITY:
             utils = []
             for i in range(config.players):
                 table = {
-                    x: Fraction(rng.randint(config.payoff_lo, config.payoff_hi))
+                    x: Fraction(rng.randint(PAYOFF_LO, PAYOFF_HI))
                     for x in itertools.product(*label_sets)
                 }
                 utils.append(UtilityTable(i + 1, table))
@@ -169,7 +171,7 @@ def generate_game(config: GeneratorConfig) -> Game:
         if all(v.status == "holds" for v in verdicts.values()):
             return game
     raise GameError(
-        f"constraint unsatisfiable after {config.retries} attempts"
+        f"constraint unsatisfiable after {RETRIES} attempts"
     )
 
 
@@ -382,10 +384,7 @@ class FuzzConfig:
     irreflexive: bool = False
     property_t_pair: bool = False
     with_q_reflexive: bool = False
-    payoff_lo: int = 0
-    payoff_hi: int = 2
     checks: tuple[str, ...] = CHECK_NAMES
-    ops: tuple[Operator, ...] = (Operator.TAIL, Operator.DOUBLE)
     oracle_bound: int = 16
 
 
@@ -576,6 +575,11 @@ def _violation_detail(game, check: str, traces, bound: int) -> str | None:
     raise GameError(f"unknown fuzz check {check!r}")
 
 
+def _traces(game: Game) -> dict[Operator, ReductionTrace]:
+    """The TAIL and DOUBLE reductions every fuzz check reads."""
+    return {op: star_reduce(game, op) for op in (Operator.TAIL, Operator.DOUBLE)}
+
+
 def _shrink(game: Game, check: str, bound: int) -> Game:
     """Greedy single-strategy removals preserving the violation."""
     current = game
@@ -592,11 +596,8 @@ def _shrink(game: Game, check: str, bound: int) -> Game:
                     for j in range(current.n)
                 )
                 candidate = restrict(current, h)
-                traces = {
-                    op: star_reduce(candidate, op)
-                    for op in (Operator.TAIL, Operator.DOUBLE)
-                }
-                if _violation_detail(candidate, check, traces, bound) is not None:
+                detail = _violation_detail(candidate, check, _traces(candidate), bound)
+                if detail is not None:
                     current = candidate
                     improved = True
                     break
@@ -619,14 +620,9 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
                 irreflexive=config.irreflexive,
                 property_t_pair=config.property_t_pair,
                 with_q_reflexive=config.with_q_reflexive,
-                payoff_lo=config.payoff_lo,
-                payoff_hi=config.payoff_hi,
             )
         )
-        traces = {op: star_reduce(game, op) for op in config.ops}
-        for op in (Operator.TAIL, Operator.DOUBLE):
-            if op not in traces:
-                traces[op] = star_reduce(game, op)
+        traces = _traces(game)
         limits = {
             op.value: json.dumps(
                 render_pairing(game, trace.final), separators=(",", ":")

@@ -1,7 +1,11 @@
 """CLI surface: exit codes, schema validity, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -220,3 +224,47 @@ def test_local_file_beats_fixture_lookup(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, payload = run_json(capsys, ["reduce", "fx1.qg"])
     assert payload["game"] == "local"
+
+
+ZERO_DENOMINATORS = {
+    "util.qg": (
+        'game "u"\nspace 1 = finite {a, b}\nspace 2 = finite {c}\n'
+        "util 1 table:\n  at a,c = 1/0\n  at b,c = 1\n"
+        "util 2 table:\n  at a,c = 0\n  at b,c = 0\n"
+    ),
+    "space.qg": (
+        'game "s"\nspace 1 = interval [0,1/0]\nspace 2 = interval [0,1]\n'
+        "pref 1 piecewise:\n  when x1 in [0,1]: empty\n"
+        "pref 2 piecewise:\n  when x2 in [0,1]: empty\n"
+    ),
+    "value.qg": (
+        'game "v"\nspace 1 = interval [0,1]\nspace 2 = interval [0,1]\n'
+        "pref 1 piecewise:\n  when x1 in [0,1]: (x1, 1/0]\n"
+        "pref 2 piecewise:\n  when x2 in [0,1]: empty\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["reduce", name], 1) for name in ZERO_DENOMINATORS]
+    + [(["reduce", "fx1.qg", "--path", "zero.path"], 2)],
+    ids=["util", "space", "value", "path"],
+)
+def test_zero_denominator_is_a_parse_error(tmp_path, argv, code):
+    for name, text in ZERO_DENOMINATORS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "zero.path").write_text("step: player=1 remove=[0,1/0]\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qualred.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qualred: "), proc.stderr

@@ -5,11 +5,14 @@ at most one coordinate and compares it only with rational constants, so
 that emptiness is constant on every product of constants and open gaps
 between constants. Probing each constant and each gap midpoint on every
 axis therefore checks the whole region, on random games and on restricted
-copies of them, whose maps carry a clip.
+copies of them, whose maps carry a clip. Each game is also checked with
+all but one player's preferences emptied, so that the region is that one
+player's alone and no other player's values can hide an error in it.
 """
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +20,16 @@ import pytest
 from qualred.analysis import maximal_elements
 from qualred.dsl import parse_game
 from qualred.engine import restrict
-from qualred.games import Const, GameError, SymInterval, eval_value
+from qualred.games import (
+    EMPTY_VALUE,
+    Cell,
+    Const,
+    GameError,
+    Piece,
+    PiecewiseMap,
+    SymInterval,
+    eval_value,
+)
 from qualred.intervals import IntervalSet
 from test_cell_scan import random_game_text
 
@@ -60,16 +72,26 @@ def _restriction(rng: random.Random, n: int) -> tuple[IntervalSet, ...]:
     return tuple(out)
 
 
+def _solo(game, i: int):
+    """The game with every preference map but player i's emptied."""
+    nothing = Piece(Cell(tuple(game.carrier(j) for j in range(game.n))), EMPTY_VALUE)
+    prefs = tuple(
+        corr if k == i else PiecewiseMap(k + 1, (nothing,))
+        for k, corr in enumerate(game.prefs)
+    )
+    return replace(game, prefs=prefs)
+
+
 def _games(n: int):
     for seed in range(60 if n == 2 else 30):
         game = parse_game(random_game_text(seed, n, comps=False, shaped=seed % 3 == 0))
-        yield game
         rng = random.Random(seed)
-        for _ in range(2):
-            yield restrict(game, _restriction(rng, n))
+        for g in [game] + [restrict(game, _restriction(rng, n)) for _ in range(2)]:
+            yield g
+            yield from (_solo(g, i) for i in range(n))
 
 
-@pytest.mark.parametrize("n, checked, skipped", [(2, 142, 38), (3, 59, 31)])
+@pytest.mark.parametrize("n, checked, skipped", [(2, 462, 78), (3, 289, 71)])
 def test_maximal_region_matches_direct_evaluation(n, checked, skipped):
     counts = [0, 0]
     for game in _games(n):
