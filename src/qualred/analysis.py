@@ -13,6 +13,7 @@ whole space.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .games import (
     Game,
     GameError,
     PiecewiseMap,
+    _piece_index,
     box_intersect,
     box_is_empty,
     box_pick_point,
@@ -70,23 +72,13 @@ class Verdict:
 
 def _global_breakpoints(game: Game) -> list[Fraction]:
     values: set[Fraction] = set()
-    groups = [game.prefs]
-    if game.comps is not None:
-        groups.append(game.comps)
     for i in range(game.n):
         values.update(game.carrier(i).endpoints())
-    for group in groups:
-        for corr in group:
-            if corr.clip is not None:
-                values.update(corr.clip.endpoints())
-            for piece in corr.pieces:
-                for f in piece.cell.factors:
-                    values.update(f.endpoints())
-                if isinstance(piece.value, EmptyValue):
-                    continue
-                for expr in (piece.value.lo, piece.value.hi):
-                    if isinstance(expr, Const):
-                        values.add(expr.value)
+    for corr in game.prefs + (game.comps or ()):
+        if corr.clip is not None:
+            values.update(corr.clip.endpoints())
+        index = _piece_index(game, corr)
+        values.update(index.consts, *index.cuts)
     return sorted(values)
 
 
@@ -111,16 +103,19 @@ def _order_cells(game: Game, players: list[int]):
     slots = game.n + 1
 
     def options(carrier: IntervalSet) -> list[tuple[Fraction, int, int]]:
-        # (value, gap or -1 at a constant, position in the gap)
-        out = [(p, -1, 0) for p in points if carrier.contains(p)]
-        for g, (a, b) in enumerate(zip(points, points[1:])):
-            if carrier.intersect(IntervalSet.interval(a, b, False, False)).is_empty:
-                continue
-            out.extend(
-                (a + (b - a) * Fraction(k, slots + 1), g, k)
-                for k in range(1, slots + 1)
-            )
-        return sorted(out)
+        # (value, gap or -1 at a constant, position in the gap), in order;
+        # the carrier's endpoints are among the points
+        out = []
+        for a, b, _ in carrier.split(points):
+            if a == b:
+                out.append((a, -1, 0))
+            else:
+                g = bisect_left(points, a)
+                out.extend(
+                    (a + (b - a) * Fraction(k, slots + 1), g, k)
+                    for k in range(1, slots + 1)
+                )
+        return out
 
     axes = [options(game.carrier(j)) for j in players]
     taken: list[list[int]] = [[] for _ in points]
@@ -291,33 +286,29 @@ def check_open_lower_sections(game: Game) -> Verdict:
     base_points = _global_breakpoints(game)
     carriers = [game.carrier(j) for j in range(game.n)]
 
+    # P_i(x) per (i, x), kept for this call only: the probes revisit profiles
+    values: dict[tuple, IntervalSet] = {}
+
     def member(i: int, y: Fraction, x) -> bool:
-        return eval_value(game, game.prefs[i], x).contains(y)
+        if (i, x) not in values:
+            values[i, x] = eval_value(game, game.prefs[i], x)
+        return y in values[i, x]
 
     for i in range(game.n):
         for (y,) in _order_cells(game, [i]):
-            points = sorted(set(base_points) | {y})
-            mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
-            axes = []
             probe_opts: list[dict[Fraction, list[Fraction]]] = []
             for carrier in carriers:
-                opts: dict[Fraction, list[Fraction]] = {}
-                for k, c in enumerate(points):
-                    if carrier.contains(c):
-                        # a constant is probed with its neighbouring midpoints
-                        near = mids[max(k - 1, 0) : k + 1]
-                        opts[c] = [c] + [m for m in near if carrier.contains(m)]
-                for m in mids:
-                    if carrier.contains(m):
-                        opts[m] = [m]
-                axes.append(sorted(opts))
+                cells = list(carrier.split([*base_points, y]))
+                opts = {}
+                for k, (a, b, t) in enumerate(cells):
+                    # a constant is probed with the midpoints of the gaps beside it
+                    near = cells[max(k - 1, 0) : k + 2] if a == b else []
+                    opts[t] = [t] + [m for c, d, m in near if c != d and t in (c, d)]
                 probe_opts.append(opts)
-            for x in itertools.product(*axes):
+            for x in itertools.product(*probe_opts):
                 if not member(i, y, x):
                     continue
-                for probe in itertools.product(
-                    *(probe_opts[j][x[j]] for j in range(game.n))
-                ):
+                for probe in itertools.product(*(o[c] for o, c in zip(probe_opts, x))):
                     if not member(i, y, probe):
                         return Verdict(name, "fails", witness=(i + 1, y, x))
     return Verdict(name, "holds")

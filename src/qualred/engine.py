@@ -29,6 +29,7 @@ from .games import (
     Piece,
     PiecewiseMap,
     UtilityTable,
+    _piece_index,
     eval_value,
 )
 from .intervals import IntervalSet
@@ -159,6 +160,13 @@ def _sym_bound(expr, closed: bool, x: Fraction, own: int, overlaps, low_side: bo
     return value, closed or not attained
 
 
+def _overlaps(piece: Piece, h: Pairing, i: int) -> list | None:
+    """The piece's opponent factors cut to h (None at i), or None when one
+    is empty and the piece meets no opponent profile of h."""
+    out = [None if j == i else f & h[j] for j, f in enumerate(piece.cell.factors)]
+    return out if all(o is None or o for o in out) else None
+
+
 def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     """Strategies of player i beating x against every opponent profile in h.
 
@@ -175,21 +183,11 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     if not all(h[j] for j in range(game.n) if j != i):
         return DominatorSet(carrier)
     result = carrier
-    for piece in corr.pieces:
-        if not piece.cell.factors[i].contains(x):
-            continue
-        overlaps = []
-        dead = False
-        for j in range(game.n):
-            if j == i:
-                overlaps.append(None)
-                continue
-            o = piece.cell.factors[j].intersect(h[j])
-            if o.is_empty:
-                dead = True
-                break
-            overlaps.append(o)
-        if dead:
+    index = _piece_index(game, corr)
+    own = index.masks[i][index.segment(i, x)]  # the pieces whose factor i holds x
+    for k, piece in enumerate(corr.pieces):
+        overlaps = _overlaps(piece, h, i) if own >> k & 1 else None
+        if overlaps is None:
             continue
         if isinstance(piece.value, EmptyValue):
             result = IntervalSet.empty()
@@ -230,19 +228,10 @@ def _breakpoints(
     corr = game.prefs[i]
     if corr.clip is not None:
         values.update(corr.clip.endpoints())
+    values.update(_piece_index(game, corr).cuts[i])
     for piece in corr.pieces:
-        values.update(piece.cell.factors[i].endpoints())
-        overlaps = {}
-        dead = False
-        for j in range(game.n):
-            if j == i:
-                continue
-            o = piece.cell.factors[j].intersect(h[j])
-            if o.is_empty:
-                dead = True
-                break
-            overlaps[j] = o
-        if dead or isinstance(piece.value, EmptyValue):
+        overlaps = _overlaps(piece, h, i)
+        if overlaps is None or isinstance(piece.value, EmptyValue):
             continue
         for expr in (piece.value.lo, piece.value.hi):
             if isinstance(expr, Const):

@@ -10,8 +10,10 @@ the two backends never mix within one game.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import xor
 from typing import Iterator, Union
 
 from .intervals import Boundary, Interval, IntervalSet
@@ -85,9 +87,6 @@ class Cell:
 
     factors: tuple[IntervalSet, ...]
 
-    def contains(self, profile: Profile) -> bool:
-        return all(f.contains(x) for f, x in zip(self.factors, profile))
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -101,11 +100,17 @@ class PiecewiseMap:
 
     The optional clip set restricts every evaluated value; restrictions of a
     game carry the surviving strategy set here so values never leave it.
+
+    A map is treated as immutable once built. Its piece index (see
+    ``_PieceIndex``) is compiled on first use and cached in ``_index``
+    (left out of equality and repr), so change a game by building new
+    maps, as ``restrict`` does.
     """
 
     player: int
     pieces: tuple[Piece, ...]
     clip: IntervalSet | None = None
+    _index: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -173,38 +178,103 @@ def resolve_endpoint(expr: EndpointExpr, profile: Profile) -> Fraction:
     return profile[expr.player - 1]
 
 
+class _PieceIndex:
+    """A piecewise map compiled for point location.
+
+    cuts[j] holds the sorted endpoints of every piece's factor j. They split
+    the line into segments 0..2m: 2k + 1 is the point cuts[k], 2k the open
+    gap below it, 2m the ray above the last cut. masks[j][s] has bit k set
+    when piece k's factor j covers segment s, so the pieces at a profile are
+    the AND of one mask per coordinate. reads[k] lists the coordinates piece
+    k's value reads; values[k] is that value, clip included, when it reads
+    none, else None; consts holds the constant ends of all values.
+    """
+
+    def __init__(self, corr: PiecewiseMap, n: int):
+        pieces = corr.pieces
+        self.full = (1 << len(pieces)) - 1
+        self.cuts: list[list[Fraction]] = []
+        self.masks: list[list[int]] = []
+        for j in range(n):
+            cuts = sorted({e for p in pieces for e in p.cell.factors[j].endpoints()})
+            # a part flips its bit at its first segment and after its last,
+            # so a running XOR gives each segment's mask
+            flips = [0] * (2 * len(cuts) + 1)
+            for k, p in enumerate(pieces):
+                for part in p.cell.factors[j]:
+                    lo, hi = part.lo, part.hi
+                    flips[2 * bisect_left(cuts, lo.value) + 2 - lo.closed] ^= 1 << k
+                    flips[2 * bisect_left(cuts, hi.value) + 1 + hi.closed] ^= 1 << k
+            self.cuts.append(cuts)
+            self.masks.append(list(itertools.accumulate(flips, xor)))
+        ends = [
+            (p.value.lo, p.value.hi) if isinstance(p.value, SymInterval) else ()
+            for p in pieces
+        ]
+        self.reads = [
+            tuple(e.player - 1 for e in pair if isinstance(e, Coord)) for pair in ends
+        ]
+        self.values = [
+            None if read else piece_value(corr, p, ())
+            for p, read in zip(pieces, self.reads)
+        ]
+        self.consts = {e.value for pair in ends for e in pair if isinstance(e, Const)}
+
+    def segment(self, j: int, x: Fraction) -> int:
+        cuts = self.cuts[j]
+        k = bisect_left(cuts, x)
+        return 2 * k + (k < len(cuts) and cuts[k] == x)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _piece_index(game: Game, corr: PiecewiseMap) -> _PieceIndex:
+    """The compiled form of a piecewise map, built on first use."""
+    if corr._index is None:
+        corr._index = _PieceIndex(corr, game.n)
+    return corr._index
+
+
 def eval_value(game: Game, corr: CorrMap, profile: Profile):
     """Value of a correspondence at a profile.
 
     Finite games return a frozenset of labels, continuum games an
     IntervalSet. A symbolic interval whose endpoints evaluate in reverse
-    order (or meet with an open side) is the empty set.
+    order (or meet with an open side) is the empty set. A continuum map
+    locates the profile in its piece index, one bisect per coordinate;
+    when cells overlap (a map that was never validated) the lowest piece
+    wins. Nothing is cached across calls but the index itself.
     """
     if isinstance(corr, FiniteTable):
         try:
             return corr.table[profile]
         except KeyError:
             raise GameError(f"no table row for profile {profile}") from None
-    for piece in corr.pieces:
-        if piece.cell.contains(profile):
-            return piece_value(corr, piece, profile)
-    raise GameError(f"profile {profile} not covered by any piece")
+    index = _piece_index(game, corr)
+    mask = index.full
+    for j, x in enumerate(profile):
+        mask &= index.masks[j][index.segment(j, x)]
+    if not mask:
+        raise GameError(f"profile {profile} not covered by any piece")
+    k = _lowest(mask)
+    value = index.values[k]
+    return piece_value(corr, corr.pieces[k], profile) if value is None else value
 
 
 def piece_value(corr: PiecewiseMap, piece: Piece, profile: Profile) -> IntervalSet:
     """A piece's value at a profile of its cell, cut to the map's clip."""
-    if isinstance(piece.value, EmptyValue):
-        return IntervalSet.empty()
     v = piece.value
-    out = IntervalSet.interval(
-        resolve_endpoint(v.lo, profile),
-        resolve_endpoint(v.hi, profile),
-        v.lo_closed,
-        v.hi_closed,
-    )
-    if corr.clip is not None:
-        out = out.intersect(corr.clip)
-    return out
+    if isinstance(v, EmptyValue):
+        return IntervalSet.empty()
+    lo = Boundary(resolve_endpoint(v.lo, profile), v.lo_closed)
+    hi = Boundary(resolve_endpoint(v.hi, profile), v.hi_closed)
+    try:
+        out = IntervalSet((Interval(lo, hi),))
+    except ValueError:  # reversed endpoints
+        return IntervalSet.empty()
+    return out if corr.clip is None else out & corr.clip
 
 
 def derive_pref_from_utility(game: Game) -> Game:
@@ -237,7 +307,7 @@ def derive_pref_from_utility(game: Game) -> Game:
 
 
 # Product boxes: tuples of one IntervalSet per player. Used for region
-# arithmetic (cell coverage checks, maximal-element sets).
+# arithmetic on maximal-element sets.
 Box = tuple[IntervalSet, ...]
 
 
@@ -297,29 +367,53 @@ def _endpoint_hull(
 def validate_piecewise(game: Game, corr: PiecewiseMap) -> None:
     """Check cells partition the strategy product and values stay inside.
 
-    The escape check bounds each symbolic value by its hull over the cell,
-    so a value is rejected whenever any endpoint can leave the carrier.
+    The cells are checked by one walk over the coordinates of the piece
+    index. At each coordinate it takes the carrier's members at the index
+    cuts and the carrier's endpoints, and one midpoint per gap between
+    them, in increasing order, narrowing the mask of pieces that cover the
+    profile so far; the first fault below a (coordinate, mask) is memoised.
+    Every profile must end with exactly one piece, and the first that does
+    not, in lexicographic order, is reported: no piece is "uncovered", two
+    or more an "overlap" of the two lowest. The escape check bounds each
+    symbolic value by its hull over the cell, so a value is rejected
+    whenever any endpoint can leave the carrier.
     """
     i = corr.player - 1
-    carrier_box: Box = tuple(game.carrier(k) for k in range(game.n))
-    cells = [tuple(p.cell.factors) for p in corr.pieces]
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            overlap = box_intersect(cells[a], cells[b])
-            if not box_is_empty(overlap):
-                at = box_pick_point(overlap)
-                raise GameError(
-                    f"player {corr.player}: pieces {a + 1} and {b + 1} "
-                    f"overlap at profile {tuple(str(v) for v in at)}",
-                    kind="overlap",
-                )
-    uncovered = boxes_subtract([carrier_box], cells)
-    if uncovered:
-        at = box_pick_point(uncovered[0])
+    index = _piece_index(game, corr)
+    axes = [
+        [(t, index.masks[j][index.segment(j, t)]) for *_, t in game.carrier(j).split(cut)]
+        for j, cut in enumerate(index.cuts)
+    ]
+    memo: dict[tuple[int, int], tuple | None] = {}
+
+    def fault(j: int, mask: int):
+        # (profile suffix, mask at its end) of the first fault from
+        # coordinate j on, or None
+        if j == len(axes):
+            return None if mask and not mask & (mask - 1) else ((), mask)
+        if (j, mask) not in memo:
+            memo[j, mask] = None
+            for t, m in axes[j]:
+                below = fault(j + 1, mask & m)
+                if below is not None:
+                    memo[j, mask] = ((t,) + below[0], below[1])
+                    break
+        return memo[j, mask]
+
+    found = fault(0, index.full)
+    if found is not None:
+        at = tuple(str(v) for v in found[0])
+        if not found[1]:
+            raise GameError(
+                f"player {corr.player}: profile {at} is not covered by any piece",
+                kind="uncovered",
+            )
+        a = _lowest(found[1])
+        b = _lowest(found[1] ^ 1 << a)
         raise GameError(
-            f"player {corr.player}: profile {tuple(str(v) for v in at)} "
-            "is not covered by any piece",
-            kind="uncovered",
+            f"player {corr.player}: pieces {a + 1} and {b + 1} "
+            f"overlap at profile {at}",
+            kind="overlap",
         )
     carrier = game.carrier(i)
     for idx, piece in enumerate(corr.pieces):
@@ -364,23 +458,3 @@ def validate_finite_table(game: Game, corr: FiniteTable) -> None:
                 f"{sorted(bad)[0]!r}, not a strategy of this player",
                 kind="escape",
             )
-
-
-def validate_game(game: Game) -> None:
-    groups = [game.prefs]
-    if game.comps is not None:
-        groups.append(game.comps)
-    for group in groups:
-        for corr in group:
-            if isinstance(corr, PiecewiseMap):
-                validate_piecewise(game, corr)
-            else:
-                validate_finite_table(game, corr)
-    if game.utils is not None:
-        for u in game.utils:
-            missing = set(game.profiles()) - set(u.table)
-            if missing:
-                x = sorted(missing)[0]
-                raise GameError(
-                    f"player {u.player}: no utility for profile {','.join(x)}"
-                )

@@ -159,26 +159,36 @@ class IntervalSet:
             p = Fraction(p)
         return any(part.contains(p) for part in self.parts)
 
+    def split(
+        self, cuts: Iterable[Fraction]
+    ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+        """The set cut at the cuts and at its own endpoints, in order, as
+        (a, b, t): a == b == t for each cut point in the set, and t the
+        midpoint of each open gap (a, b) between consecutive cuts that lies
+        in the set. With the set's endpoints among the cuts, each gap lies
+        wholly in or out of the set, so its midpoint decides.
+        """
+        points = sorted(set(cuts).union(self.endpoints()))
+        for k, a in enumerate(points):
+            if a in self:
+                yield a, a, a
+            if k + 1 < len(points):
+                b = points[k + 1]
+                if (mid := (a + b) / 2) in self:
+                    yield a, b, mid
+
     def select(
         self, cuts: Iterable[Fraction], holds: Callable[[Fraction], bool]
     ) -> "IntervalSet":
         """The members t with holds(t), for a holds that is constant at each
-        cut and on each open gap between consecutive cuts.
-
-        The set's own endpoints join the cuts, so every gap lies wholly in
-        or out of the set, and one test per cut and per gap inside decides.
+        cut and on each open gap between consecutive cuts: one test per
+        piece of ``split``.
         """
-        points = sorted(set(cuts).union(self.endpoints()))
-        parts = []
-        for k, a in enumerate(points):
-            if a in self and holds(a):
-                parts.append(Interval(Boundary(a, True), Boundary(a, True)))
-            if k + 1 < len(points):
-                b = points[k + 1]
-                mid = (a + b) / 2
-                if mid in self and holds(mid):
-                    parts.append(Interval(Boundary(a, False), Boundary(b, False)))
-        return IntervalSet.from_parts(parts)
+        return IntervalSet.from_parts(
+            Interval(Boundary(a, a == b), Boundary(b, a == b))
+            for a, b, t in self.split(cuts)
+            if holds(t)
+        )
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_parts(self.parts + other.parts)

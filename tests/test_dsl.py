@@ -68,6 +68,56 @@ def test_uncovered_diagnostic():
     assert e.kind == "uncovered"
 
 
+def _pref1(*rows: str) -> str:
+    return (
+        HEADER
+        + "pref 1 piecewise:\n"
+        + "".join(f"  when {r}\n" for r in rows)
+        + "pref 2 piecewise:\n  when x2 in [0,1]: empty\n"
+    )
+
+
+def test_one_point_overlap_names_its_profile():
+    e = err(_pref1("x1 in [0,1/2]: empty", "x1 in [1/2,1]: empty"))
+    assert e.kind == "overlap"
+    assert "player 1: pieces 1 and 2 overlap at profile ('1/2', '0')" in str(e)
+
+
+def test_one_point_gap_names_its_profile():
+    e = err(_pref1("x1 in [0,1/2): empty", "x1 in (1/2,1]: empty"))
+    assert e.kind == "uncovered"
+    assert "player 1: profile ('1/2', '0') is not covered by any piece" in str(e)
+
+
+def test_overlaps_are_reported_in_lexicographic_order():
+    rows = [
+        "x1 in [1/2,1] and x2 in [0,1/2]: empty",
+        "x1 in [1/2,1] and x2 in [1/2,1]: empty",
+        "x1 in [0,1/2) and x2 in [0,1/4]: empty",
+        "x1 in [0,1/2) and x2 in [1/4,1]: empty",
+    ]
+    e = err(_pref1(*rows))
+    assert e.kind == "overlap"
+    assert "pieces 3 and 4 overlap at profile ('0', '1/4')" in str(e)
+    rows[3] = "x1 in [0,1/2) and x2 in (1/4,1]: empty"
+    e = err(_pref1(*rows))
+    assert e.kind == "overlap"
+    assert "pieces 1 and 2 overlap at profile ('1/2', '1/2')" in str(e)
+
+
+def test_grid_game_with_256_pieces_parses():
+    def factor(k: int) -> str:
+        return f"[{k}/16,{k + 1}/16{']' if k == 15 else ')'}"
+
+    rows = [
+        f"x1 in {factor(a)} and x2 in {factor(b)}: empty"
+        for a in range(16)
+        for b in range(16)
+    ]
+    game = parse_game(_pref1(*rows))
+    assert len(game.prefs[0].pieces) == 256
+
+
 def test_escape_diagnostic():
     e = err(
         HEADER
