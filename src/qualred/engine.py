@@ -21,7 +21,6 @@ from .games import (
     Cell,
     Const,
     ContinuumSpace,
-    Coord,
     EmptyValue,
     FiniteSpace,
     FiniteTable,

@@ -239,19 +239,23 @@ def discretize(game: Game, step) -> Game:
         ]
         memo: dict[tuple[int, ...], frozenset[str]] = {}
         table = {}
-        for idx in itertools.product(*(range(len(ax)) for ax in axes)):
-            mask = reduce(and_, map(list.__getitem__, cover, idx), index.full)
+        for x, idx, masks in zip(
+            itertools.product(*(sp.labels for sp in spaces)),
+            itertools.product(*(range(len(ax)) for ax in axes)),
+            itertools.product(*cover),
+        ):
+            mask = reduce(and_, masks, index.full)
             if not mask:
                 at = tuple(map(list.__getitem__, axes, idx))
                 raise GameError(f"profile {at} not covered by any piece")
             k = _lowest(mask)
             # a value depends on the profile only through the coordinates it reads
-            key = (k, *(idx[j] for j in index.reads[k]))
+            key = (k, *map(idx.__getitem__, index.reads[k]))
             if key not in memo:
                 at = tuple(map(list.__getitem__, axes, idx))
                 value = piece_value(corr, corr.pieces[k], at)
                 memo[key] = frozenset(labels[g] for g in _grid_members(axes[i], value))
-            table[tuple(sp.labels[g] for sp, g in zip(spaces, idx))] = memo[key]
+            table[x] = memo[key]
         return FiniteTable(i + 1, table)
 
     prefs = tuple(tabulate(c, i) for i, c in enumerate(game.prefs))
