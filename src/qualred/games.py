@@ -185,9 +185,9 @@ class _PieceIndex:
     the line into segments 0..2m: 2k + 1 is the point cuts[k], 2k the open
     gap below it, 2m the ray above the last cut. masks[j][s] has bit k set
     when piece k's factor j covers segment s, so the pieces at a profile are
-    the AND of one mask per coordinate. reads[k] lists the coordinates piece
-    k's value reads; values[k] is that value, clip included, when it reads
-    none, else None; consts holds the constant ends of all values.
+    the AND of one mask per coordinate. values[k] is piece k's value, clip
+    included, if it reads no coordinate, else None; consts holds the
+    constant ends of all values.
     """
 
     def __init__(self, corr: PiecewiseMap, n: int):
@@ -211,12 +211,9 @@ class _PieceIndex:
             (p.value.lo, p.value.hi) if isinstance(p.value, SymInterval) else ()
             for p in pieces
         ]
-        self.reads = [
-            tuple(e.player - 1 for e in pair if isinstance(e, Coord)) for pair in ends
-        ]
         self.values = [
-            None if read else piece_value(corr, p, ())
-            for p, read in zip(pieces, self.reads)
+            None if any(isinstance(e, Coord) for e in pair) else piece_value(corr, p, ())
+            for p, pair in zip(pieces, ends)
         ]
         self.consts = {e.value for pair in ends for e in pair if isinstance(e, Const)}
 

@@ -17,8 +17,6 @@ import random
 import string
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
-from operator import and_
 
 from .analysis import (
     check_condition_C,
@@ -36,12 +34,13 @@ from .engine import (
     restrict,
 )
 from .games import (
+    Coord,
     FiniteSpace,
     FiniteTable,
     Game,
     GameError,
+    SymInterval,
     UtilityTable,
-    _lowest,
     _piece_index,
     derive_pref_from_utility,
     eval_value,
@@ -196,10 +195,9 @@ def discretize(game: Game, step) -> Game:
 
     The grid is refined with every piece-cell endpoint so no cell falls
     between grid points. Each table entry is the value eval_value gives at
-    the grid profile, cut down to the grid members it contains: the piece
-    index locates each profile by one mask per grid coordinate, the lowest
-    covering piece wins, and a value is evaluated once per piece and
-    distinct tuple of the coordinates it reads.
+    the grid profile, cut down to the grid members it contains; tables are
+    filled piece by piece, evaluating a value once per distinct pair of
+    resolved endpoints, and the first piece covering a profile wins.
     """
     if game.is_finite:
         raise GameError("discretize needs interval spaces")
@@ -231,31 +229,34 @@ def discretize(game: Game, step) -> Game:
     spaces = tuple(FiniteSpace(tuple(str(p) for p in ax)) for ax in axes)
 
     def tabulate(corr, i: int) -> FiniteTable:
-        index = _piece_index(game, corr)
         labels = spaces[i].labels
-        # the pieces covering each grid point, per axis
-        cover = [
-            [index.masks[j][index.segment(j, t)] for t in ax] for j, ax in enumerate(axes)
-        ]
-        memo: dict[tuple[int, ...], frozenset[str]] = {}
+        filled: dict[tuple[int, ...], frozenset[str]] = {}
+        for piece in corr.pieces:
+            v = piece.value
+            # the value depends on the profile only through the coordinates
+            # its endpoints name
+            named = [
+                e.player - 1
+                for e in ((v.lo, v.hi) if isinstance(v, SymInterval) else ())
+                if isinstance(e, Coord)
+            ]
+            memo: dict[tuple[int, ...], frozenset[str]] = {}
+            cell = [_grid_members(ax, f) for ax, f in zip(axes, piece.cell.factors)]
+            for idx in itertools.product(*cell):
+                if idx in filled:
+                    continue
+                key = tuple(idx[j] for j in named)
+                if key not in memo:
+                    profile = tuple(ax[k] for ax, k in zip(axes, idx))
+                    value = piece_value(corr, piece, profile)
+                    memo[key] = frozenset(labels[k] for k in _grid_members(axes[i], value))
+                filled[idx] = memo[key]
         table = {}
-        for x, idx, masks in zip(
-            itertools.product(*(sp.labels for sp in spaces)),
-            itertools.product(*(range(len(ax)) for ax in axes)),
-            itertools.product(*cover),
-        ):
-            mask = reduce(and_, masks, index.full)
-            if not mask:
-                at = tuple(map(list.__getitem__, axes, idx))
+        for idx in itertools.product(*(range(len(ax)) for ax in axes)):
+            if idx not in filled:
+                at = tuple(ax[k] for ax, k in zip(axes, idx))
                 raise GameError(f"profile {at} not covered by any piece")
-            k = _lowest(mask)
-            # a value depends on the profile only through the coordinates it reads
-            key = (k, *map(idx.__getitem__, index.reads[k]))
-            if key not in memo:
-                at = tuple(map(list.__getitem__, axes, idx))
-                value = piece_value(corr, corr.pieces[k], at)
-                memo[key] = frozenset(labels[g] for g in _grid_members(axes[i], value))
-            table[x] = memo[key]
+            table[tuple(sp.labels[k] for sp, k in zip(spaces, idx))] = filled[idx]
         return FiniteTable(i + 1, table)
 
     prefs = tuple(tabulate(c, i) for i, c in enumerate(game.prefs))
