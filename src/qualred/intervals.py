@@ -209,7 +209,15 @@ class IntervalSet:
         return IntervalSet.from_parts(pieces)
 
     def is_subset(self, other: "IntervalSet") -> bool:
-        return self.difference(other).is_empty
+        # canonical parts are separated, so a part lies in the union of
+        # other's parts only if it lies in one of them
+        return all(
+            any(
+                b.lo.lo_key() <= a.lo.lo_key() and a.hi.hi_key() <= b.hi.hi_key()
+                for b in other.parts
+            )
+            for a in self.parts
+        )
 
     def complement_within(self, carrier: "IntervalSet") -> "IntervalSet":
         if not self.is_subset(carrier):

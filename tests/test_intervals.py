@@ -197,6 +197,12 @@ def test_closure_idempotent_extensive(a):
     assert a.is_subset(cl)
 
 
+@given(interval_sets(), interval_sets())
+def test_subset_agrees_with_an_empty_difference(a, b):
+    for x, y in ((a, b), (a.intersect(b), b), (a, a.union(b)), (a.closure(), a)):
+        assert x.is_subset(y) == x.difference(y).is_empty
+
+
 @given(interval_sets(), interval_sets(), rationals)
 def test_membership_agrees_with_set_predicates(a, b, p):
     assert a.union(b).contains(p) == (a.contains(p) or b.contains(p))
