@@ -118,12 +118,10 @@ def _order_cells(game: Game, players: list[int]):
         return out
 
     axes = [options(game.carrier(j)) for j in players]
-    taken: list[list[int]] = [[] for _ in points]
+    # per gap: the coordinates at each position, and the highest one used
+    count = [[0] * (slots + 1) for _ in points]
+    top = [0] * len(points)
     point: list[Fraction] = []
-
-    def holes(g: int) -> int:
-        ks = taken[g]
-        return max(ks) - len(set(ks)) if ks else 0
 
     def walk(t: int, missing: int):
         # missing: unused positions below the highest one used, summed over
@@ -135,15 +133,18 @@ def _order_cells(game: Game, players: list[int]):
         for value, g, k in axes[t]:
             now = missing
             if g >= 0:
-                before = holes(g)
-                taken[g].append(k)
-                now += holes(g) - before
+                high = top[g]
+                if not count[g][k]:  # fills a hole, or opens those up to k
+                    now += k - high - 1 if k > high else -1
+                count[g][k] += 1
+                top[g] = max(high, k)
             if now < len(axes) - t:
                 point.append(value)
                 yield from walk(t + 1, now)
                 point.pop()
             if g >= 0:
-                taken[g].pop()
+                count[g][k] -= 1
+                top[g] = high
 
     return walk(0, 0)
 
@@ -358,34 +359,30 @@ def check_hypotheses(game: Game, names: list[str] | None = None) -> dict[str, Ve
     return out
 
 
-def check_condition_D(game: Game, h: Pairing) -> Verdict:
-    """Everything dominated at h has a dominator still alive in h."""
-    name = "condition-D"
+def _dominance_condition(game: Game, h: Pairing, name: str, pool) -> Verdict:
+    """Everything player i has dominated at h has a dominator in
+    pool(full, own, dominated), for every player i."""
     full = full_pairing(game)
     for i in range(game.n):
-        if not all(h[j] for j in range(game.n) if j != i):
-            continue
         dominated = _region_where(game, h, i, domain=full[i])
-        bad = dominated - _region_where(game, h, i, domain=dominated, member=h[i])
+        good = _region_where(
+            game, h, i, domain=dominated, member=pool(full[i], h[i], dominated)
+        )
+        bad = dominated - good
         if bad:
             return Verdict(name, "fails", witness=(i + 1, factor_pick(game, i, bad)))
     return Verdict(name, "holds")
+
+
+def check_condition_D(game: Game, h: Pairing) -> Verdict:
+    """Everything dominated at h has a dominator still alive in h."""
+    return _dominance_condition(game, h, "condition-D", lambda full, own, dom: own)
 
 
 def check_condition_C(game: Game, h: Pairing) -> Verdict:
     """Everything dominated at h has a dominator that is itself
     undominated at h."""
-    name = "condition-C"
-    full = full_pairing(game)
-    for i in range(game.n):
-        if not all(h[j] for j in range(game.n) if j != i):
-            continue
-        dominated = _region_where(game, h, i, domain=full[i])
-        good = _region_where(game, h, i, domain=dominated, member=full[i] - dominated)
-        bad = dominated - good
-        if bad:
-            return Verdict(name, "fails", witness=(i + 1, factor_pick(game, i, bad)))
-    return Verdict(name, "holds")
+    return _dominance_condition(game, h, "condition-C", lambda full, own, dom: full - dom)
 
 
 @dataclass
@@ -404,8 +401,8 @@ def find_undominated_dominator(game: Game, h: Pairing, i: int, x) -> DominatorSe
         raise GameError("precondition unmet: the strategy is not dominated")
     if game.is_finite:
         dom = _finite_rows(game, i).dominators(h)
-        for y in game.labels(i):
-            if y in d and y in h[i] and not dom[y]:
+        for y, dy in zip(game.labels(i), dom):
+            if y in d and y in h[i] and not dy:
                 return DominatorSearch(y, True)
         return DominatorSearch(None, True)
     domain = game.carrier(i)

@@ -90,26 +90,32 @@ class DominatorSet:
 class _FiniteRows:
     """Player i's finite preference table as int masks over game.labels(i).
 
-    cols[x][o] is the mask of P_i at own strategy x and opponent profile o,
-    o being the mixed-radix index of the opponents' labels in product order.
-    dominators(h) memoises, per opponent factors, the dominator mask of every
-    own strategy: the AND of its column over the surviving opponent profiles.
+    A factor of player j is held as an int with bit k for game.labels(j)[k].
+    cols[k][o] is the mask of P_i at own strategy labels[k] and opponent
+    profile o, o being the mixed-radix index of the opponents' labels in
+    product order. at(key) memoises, per tuple of opponent masks, the
+    dominator mask of every own strategy in label order: the AND of its
+    column over the surviving opponent profiles. dominators(h) reads the
+    same memo for a pairing of frozensets.
     """
 
     def __init__(self, game: Game, i: int):
         self.labels = game.labels(i)
-        self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
+        self.index = {s: k for k, s in enumerate(self.labels)}
+        self.bit = {s: 1 << k for s, k in self.index.items()}
         self.opp = [j for j in range(game.n) if j != i]
-        self.index = {j: {s: k for k, s in enumerate(game.labels(j))} for j in self.opp}
+        self.opp_bits = [
+            {s: 1 << k for k, s in enumerate(game.labels(j))} for j in self.opp
+        ]
         axes = [game.labels(j) for j in self.opp]
-        self.cols = {
-            x: [
+        self.cols = [
+            [
                 self.mask(eval_value(game, game.prefs[i], o[:i] + (x,) + o[i:]))
                 for o in itertools.product(*axes)
             ]
             for x in self.labels
-        }
-        self.memo: dict[tuple, dict[str, int]] = {}
+        ]
+        self.memo: dict[tuple[int, ...], list[int]] = {}
 
     def mask(self, f: frozenset) -> int:
         return sum(map(self.bit.__getitem__, f))
@@ -117,18 +123,19 @@ class _FiniteRows:
     def members(self, m: int) -> frozenset:
         return frozenset(s for s, b in self.bit.items() if m & b)
 
-    def dominators(self, h: Pairing) -> dict[str, int]:
-        key = tuple(h[j] for j in self.opp)
+    def dominators(self, h: Pairing) -> list[int]:
+        return self.at(
+            tuple(sum(map(b.__getitem__, h[j])) for j, b in zip(self.opp, self.opp_bits))
+        )
+
+    def at(self, key: tuple[int, ...]) -> list[int]:
         if key not in self.memo:
             flat = [0]
-            for j, f in zip(self.opp, key):
-                idx = self.index[j]
-                flat = [o * len(idx) + idx[s] for o in flat for s in f]
+            for m, bits in zip(key, self.opp_bits):
+                size = len(bits)
+                flat = [o * size + k for o in flat for k in range(size) if m >> k & 1]
             full = (1 << len(self.labels)) - 1
-            self.memo[key] = {
-                x: reduce(and_, map(col.__getitem__, flat), full)
-                for x, col in self.cols.items()
-            }
+            self.memo[key] = [reduce(and_, map(col.__getitem__, flat), full) for col in self.cols]
         return self.memo[key]
 
 
@@ -176,7 +183,7 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
         rows = _finite_rows(game, i)
-        return DominatorSet(rows.members(rows.dominators(h)[x]))
+        return DominatorSet(rows.members(rows.dominators(h)[rows.index[x]]))
 
     carrier = game.carrier(i)
     if not all(h[j] for j in range(game.n) if j != i):
@@ -265,7 +272,7 @@ def _region_where(
         return frozenset(
             x
             for x in domain
-            if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
+            if dom[rows.index[x]] & keep & ~(rows.bit[x] if exclude_self else 0)
         )
     # The condition is constant at each breakpoint and between them: every
     # comparison pits x against a fixed rational.

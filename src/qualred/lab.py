@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import string
 from dataclasses import dataclass, field, replace
@@ -25,14 +26,7 @@ from .analysis import (
     check_preservation,
 )
 from .dsl import serialize_game
-from .engine import (
-    Operator,
-    Pairing,
-    eliminated_region,
-    full_pairing,
-    render_pairing,
-    restrict,
-)
+from .engine import Operator, Pairing, _finite_rows, render_pairing, restrict
 from .games import (
     Coord,
     FiniteSpace,
@@ -46,7 +40,7 @@ from .games import (
     eval_value,
     piece_value,
 )
-from .reduction import InvalidRemoval, ReductionTrace, path_step, star_reduce
+from .reduction import ReductionTrace, star_reduce
 
 MODE_UTILITY = "utility"
 MODE_RAW = "raw"
@@ -290,58 +284,59 @@ def enumerate_maximal_reductions(
     """Every maximal pairing reachable by single-strategy eliminations.
 
     Exhaustive depth-first walk with memoized pairings; games larger than
-    the bound (product of strategy counts) are refused.
+    the bound (product of strategy counts) are refused. The walk holds a
+    pairing as one int per player, bit k standing for game.labels(i)[k],
+    and reads each player's dominator masks from the compiled table
+    (engine._FiniteRows), memoised per tuple of opponent masks. A move
+    removes one strategy the operator eliminates, by player and then in
+    label order. Under DOUBLE a lone removal is valid only while a
+    dominator other than the strategy itself survives; ARROW and TAIL
+    moves leave the opponents as they were, so they are always valid.
+    Pairings become frozensets only at the maximal ones.
     """
     if not game.is_finite:
         raise GameError("enumeration needs finite spaces")
-    size = 1
-    for i in range(game.n):
-        size *= len(game.labels(i))
+    size = math.prod(len(game.labels(i)) for i in range(game.n))
     if size > bound:
         raise BoundExceeded(
             f"game size {size} exceeds the enumeration bound {bound}",
             size,
             bound,
         )
-    orders = [
-        {s: k for k, s in enumerate(game.labels(i))} for i in range(game.n)
-    ]
-    seen: set[Pairing] = set()
-    results: dict[tuple, Pairing] = {}
+    rows = [_finite_rows(game, i) for i in range(game.n)]
+    double = op is Operator.DOUBLE
+    seen: set[tuple[int, ...]] = set()
+    maximal: list[tuple[int, ...]] = []
     d_holds = True
 
-    def visit(h: Pairing) -> None:
+    def visit(h: tuple[int, ...]) -> None:
         nonlocal d_holds
         if h in seen:
             return
         seen.add(h)
-        if track_condition_D and check_condition_D(game, h).status != "holds":
-            d_holds = False
-        moves = [
-            (i, y)
-            for i in range(game.n)
-            for y in sorted(eliminated_region(game, h, i, op), key=orders[i].__getitem__)
-        ]
         progressed = False
-        for i, y in moves:
-            try:
-                post, _, _ = path_step(game, h, op, {i: frozenset({y})})
-            except InvalidRemoval:
-                # a lone removal may be invalid even when a batch is not
+        for i, own in enumerate(h):
+            opponents = h[:i] + h[i + 1 :]
+            if not all(opponents):
                 continue
-            progressed = True
-            visit(post)
+            dom = rows[i].at(opponents)
+            if track_condition_D and d_holds:
+                d_holds = all(d & own or not d for d in dom)
+            for k, d in enumerate(dom):
+                bit = 1 << k
+                if own & bit and d & (own & ~bit if double else -1):
+                    progressed = True
+                    visit(h[:i] + (own & ~bit,) + h[i + 1 :])
         if not progressed:
-            key = tuple(
-                tuple(sorted(f, key=orders[i].__getitem__))
-                for i, f in enumerate(h)
-            )
-            results[key] = h
+            maximal.append(h)
 
-    visit(full_pairing(game))
-    ordered = [results[k] for k in sorted(results)]
+    visit(tuple((1 << len(r.labels)) - 1 for r in rows))
+    keys = sorted(
+        tuple(tuple(s for s in r.labels if m & r.bit[s]) for r, m in zip(rows, h))
+        for h in maximal
+    )
     return EnumerationResult(
-        pairings=ordered,
+        pairings=[tuple(map(frozenset, key)) for key in keys],
         condition_D_everywhere=d_holds,
         visited=len(seen),
     )

@@ -12,8 +12,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from qualred.analysis import check_hypotheses
+from qualred.analysis import _global_breakpoints, _order_cells, check_hypotheses
 from qualred.dsl import parse_game
+from qualred.engine import full_pairing, restrict
 from qualred.games import eval_value
 from qualred.intervals import IntervalSet
 
@@ -205,3 +206,42 @@ def test_verdicts_agree_with_direct_evaluation(seed, n, comps, shaped):
         for _ in range(PROBES):
             i, x, y = _probe(rng, game, name)
             assert not violates(game, name, i, x, y), (name, i + 1, x, y)
+
+
+def brute_order_cells(game, players) -> list[tuple]:
+    """The points of the full option grid (every constant, and n + 1 evenly
+    spaced points in each gap between constants) whose positions in each
+    gap are exactly 1..R, in lexicographic order."""
+    points = _global_breakpoints(game)
+    slots = game.n + 1
+    axes = []
+    for j in players:
+        carrier = game.carrier(j)
+        options = [(p, -1, 0) for p in points if carrier.contains(p)]
+        for g, (a, b) in enumerate(zip(points, points[1:])):
+            if carrier.contains((a + b) / 2):
+                options += [(a + (b - a) * F(k, slots + 1), g, k) for k in range(1, slots + 1)]
+        axes.append(sorted(options))
+    out = []
+    for combo in itertools.product(*axes):
+        used: dict[int, set[int]] = {}
+        for _, g, k in combo:
+            if g >= 0:
+                used.setdefault(g, set()).add(k)
+        if all(ks == set(range(1, max(ks) + 1)) for ks in used.values()):
+            out.append(tuple(value for value, _, _ in combo))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n", [2, 3])
+def test_order_cells_are_the_least_grid_points(seed, n):
+    game = parse_game(random_game_text(seed, n, comps=seed % 2 == 0, shaped=seed % 3 == 0))
+    # a restricted copy has a carrier strictly inside [0, 1]
+    h = (IntervalSet.interval(F(1, 5), F(4, 5), True, False),) + full_pairing(game)[1:]
+    for g in (game, restrict(game, h)):
+        orders = [list(range(n))]
+        if n == 2:
+            orders += [[0, 1, 0], [0, 1, 1]]
+        for players in orders:
+            assert list(_order_cells(g, players)) == brute_order_cells(g, players), players
