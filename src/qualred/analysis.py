@@ -401,8 +401,8 @@ def find_undominated_dominator(game: Game, h: Pairing, i: int, x) -> DominatorSe
         raise GameError("precondition unmet: the strategy is not dominated")
     if game.is_finite:
         dom = _finite_rows(game, i).dominators(h)
-        for y, dy in zip(game.labels(i), dom):
-            if y in d and y in h[i] and not dy:
+        for y in game.labels(i):
+            if y in d and y in h[i] and not dom[y]:
                 return DominatorSearch(y, True)
         return DominatorSearch(None, True)
     domain = game.carrier(i)

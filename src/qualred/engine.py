@@ -90,19 +90,18 @@ class DominatorSet:
 class _FiniteRows:
     """Player i's finite preference table as int masks over game.labels(i).
 
-    A factor of player j is held as an int with bit k for game.labels(j)[k].
-    cols[k][o] is the mask of P_i at own strategy labels[k] and opponent
-    profile o, o being the mixed-radix index of the opponents' labels in
-    product order. at(key) memoises, per tuple of opponent masks, the
-    dominator mask of every own strategy in label order: the AND of its
-    column over the surviving opponent profiles. dominators(h) reads the
-    same memo for a pairing of frozensets.
+    A factor of player j is an int with bit k for game.labels(j)[k]. cols[k][o]
+    is the mask of P_i at own strategy labels[k] and opponent profile o, o
+    being the mixed-radix index of the opponents' labels in product order.
+    at(key) memoises, per tuple of opponent masks, the dominator mask of
+    every own strategy in label order: the AND of its column over the
+    surviving opponent profiles. dominators(h) keeps the same masks by
+    label in the same memo, keyed by the opponents' frozensets.
     """
 
     def __init__(self, game: Game, i: int):
         self.labels = game.labels(i)
-        self.index = {s: k for k, s in enumerate(self.labels)}
-        self.bit = {s: 1 << k for s, k in self.index.items()}
+        self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
         self.opp = [j for j in range(game.n) if j != i]
         self.opp_bits = [
             {s: 1 << k for k, s in enumerate(game.labels(j))} for j in self.opp
@@ -115,7 +114,7 @@ class _FiniteRows:
             ]
             for x in self.labels
         ]
-        self.memo: dict[tuple[int, ...], list[int]] = {}
+        self.memo: dict[tuple, list[int] | dict[str, int]] = {}
 
     def mask(self, f: frozenset) -> int:
         return sum(map(self.bit.__getitem__, f))
@@ -123,10 +122,12 @@ class _FiniteRows:
     def members(self, m: int) -> frozenset:
         return frozenset(s for s, b in self.bit.items() if m & b)
 
-    def dominators(self, h: Pairing) -> list[int]:
-        return self.at(
-            tuple(sum(map(b.__getitem__, h[j])) for j, b in zip(self.opp, self.opp_bits))
-        )
+    def dominators(self, h: Pairing) -> dict[str, int]:
+        key = tuple(h[j] for j in self.opp)
+        if key not in self.memo:
+            masks = tuple(sum(map(b.__getitem__, f)) for f, b in zip(key, self.opp_bits))
+            self.memo[key] = dict(zip(self.labels, self.at(masks)))
+        return self.memo[key]
 
     def at(self, key: tuple[int, ...]) -> list[int]:
         if key not in self.memo:
@@ -183,7 +184,7 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
         rows = _finite_rows(game, i)
-        return DominatorSet(rows.members(rows.dominators(h)[rows.index[x]]))
+        return DominatorSet(rows.members(rows.dominators(h)[x]))
 
     carrier = game.carrier(i)
     if not all(h[j] for j in range(game.n) if j != i):
@@ -272,7 +273,7 @@ def _region_where(
         return frozenset(
             x
             for x in domain
-            if dom[rows.index[x]] & keep & ~(rows.bit[x] if exclude_self else 0)
+            if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
         )
     # The condition is constant at each breakpoint and between them: every
     # comparison pits x against a fixed rational.
