@@ -359,30 +359,34 @@ def check_hypotheses(game: Game, names: list[str] | None = None) -> dict[str, Ve
     return out
 
 
-def _dominance_condition(game: Game, h: Pairing, name: str, pool) -> Verdict:
-    """Everything player i has dominated at h has a dominator in
-    pool(full, own, dominated), for every player i."""
+def check_condition_D(game: Game, h: Pairing) -> Verdict:
+    """Everything dominated at h has a dominator still alive in h."""
+    name = "condition-D"
     full = full_pairing(game)
     for i in range(game.n):
+        if not all(h[j] for j in range(game.n) if j != i):
+            continue
         dominated = _region_where(game, h, i, domain=full[i])
-        good = _region_where(
-            game, h, i, domain=dominated, member=pool(full[i], h[i], dominated)
-        )
-        bad = dominated - good
+        bad = dominated - _region_where(game, h, i, domain=dominated, member=h[i])
         if bad:
             return Verdict(name, "fails", witness=(i + 1, factor_pick(game, i, bad)))
     return Verdict(name, "holds")
 
 
-def check_condition_D(game: Game, h: Pairing) -> Verdict:
-    """Everything dominated at h has a dominator still alive in h."""
-    return _dominance_condition(game, h, "condition-D", lambda full, own, dom: own)
-
-
 def check_condition_C(game: Game, h: Pairing) -> Verdict:
     """Everything dominated at h has a dominator that is itself
     undominated at h."""
-    return _dominance_condition(game, h, "condition-C", lambda full, own, dom: full - dom)
+    name = "condition-C"
+    full = full_pairing(game)
+    for i in range(game.n):
+        if not all(h[j] for j in range(game.n) if j != i):
+            continue
+        dominated = _region_where(game, h, i, domain=full[i])
+        good = _region_where(game, h, i, domain=dominated, member=full[i] - dominated)
+        bad = dominated - good
+        if bad:
+            return Verdict(name, "fails", witness=(i + 1, factor_pick(game, i, bad)))
+    return Verdict(name, "holds")
 
 
 @dataclass

@@ -93,10 +93,10 @@ class _FiniteRows:
     A factor of player j is an int with bit k for game.labels(j)[k]. cols[k][o]
     is the mask of P_i at own strategy labels[k] and opponent profile o, o
     being the mixed-radix index of the opponents' labels in product order.
-    at(key) memoises, per tuple of opponent masks, the dominator mask of
-    every own strategy in label order: the AND of its column over the
-    surviving opponent profiles. dominators(h) keeps the same masks by
-    label in the same memo, keyed by the opponents' frozensets.
+    at(key) memoises in self.masks, per tuple of opponent masks, the
+    dominator mask of every own strategy in label order: the AND of its
+    column over the surviving opponent profiles. dominators(h) keeps the
+    same masks by label in self.memo, keyed by the opponents' frozensets.
     """
 
     def __init__(self, game: Game, i: int):
@@ -114,7 +114,8 @@ class _FiniteRows:
             ]
             for x in self.labels
         ]
-        self.memo: dict[tuple, list[int] | dict[str, int]] = {}
+        self.masks: dict[tuple[int, ...], list[int]] = {}
+        self.memo: dict[tuple[frozenset, ...], dict[str, int]] = {}
 
     def mask(self, f: frozenset) -> int:
         return sum(map(self.bit.__getitem__, f))
@@ -130,14 +131,14 @@ class _FiniteRows:
         return self.memo[key]
 
     def at(self, key: tuple[int, ...]) -> list[int]:
-        if key not in self.memo:
+        if key not in self.masks:
             flat = [0]
             for m, bits in zip(key, self.opp_bits):
                 size = len(bits)
                 flat = [o * size + k for o in flat for k in range(size) if m >> k & 1]
             full = (1 << len(self.labels)) - 1
-            self.memo[key] = [reduce(and_, map(col.__getitem__, flat), full) for col in self.cols]
-        return self.memo[key]
+            self.masks[key] = [reduce(and_, map(col.__getitem__, flat), full) for col in self.cols]
+        return self.masks[key]
 
 
 def _finite_rows(game: Game, i: int) -> _FiniteRows:

@@ -284,15 +284,12 @@ def enumerate_maximal_reductions(
     """Every maximal pairing reachable by single-strategy eliminations.
 
     Exhaustive depth-first walk with memoized pairings; games larger than
-    the bound (product of strategy counts) are refused. The walk holds a
-    pairing as one int per player, bit k standing for game.labels(i)[k],
-    and reads each player's dominator masks from the compiled table
-    (engine._FiniteRows), memoised per tuple of opponent masks. A move
-    removes one strategy the operator eliminates, by player and then in
-    label order. Under DOUBLE a lone removal is valid only while a
-    dominator other than the strategy itself survives; ARROW and TAIL
-    moves leave the opponents as they were, so they are always valid.
-    Pairings become frozensets only at the maximal ones.
+    the bound (product of strategy counts) are refused. A pairing is held
+    as one int per player, bit k for game.labels(i)[k]; dominator masks
+    come from engine._FiniteRows, memoised per tuple of opponent masks.
+    A move removes one strategy the operator eliminates, by player and
+    label order; under DOUBLE, only while a dominator other than itself
+    survives. Pairings become frozensets only at the maximal ones.
     """
     if not game.is_finite:
         raise GameError("enumeration needs finite spaces")
@@ -306,7 +303,7 @@ def enumerate_maximal_reductions(
     rows = [_finite_rows(game, i) for i in range(game.n)]
     double = op is Operator.DOUBLE
     seen: set[tuple[int, ...]] = set()
-    maximal: list[tuple[int, ...]] = []
+    maximal: list[tuple[tuple[str, ...], ...]] = []  # labels in label order
     d_holds = True
 
     def visit(h: tuple[int, ...]) -> None:
@@ -328,15 +325,13 @@ def enumerate_maximal_reductions(
                     progressed = True
                     visit(h[:i] + (own & ~bit,) + h[i + 1 :])
         if not progressed:
-            maximal.append(h)
+            maximal.append(
+                tuple(tuple(s for s in r.labels if m & r.bit[s]) for r, m in zip(rows, h))
+            )
 
     visit(tuple((1 << len(r.labels)) - 1 for r in rows))
-    keys = sorted(
-        tuple(tuple(s for s in r.labels if m & r.bit[s]) for r, m in zip(rows, h))
-        for h in maximal
-    )
     return EnumerationResult(
-        pairings=[tuple(map(frozenset, key)) for key in keys],
+        pairings=[tuple(map(frozenset, key)) for key in sorted(maximal)],
         condition_D_everywhere=d_holds,
         visited=len(seen),
     )

@@ -144,3 +144,29 @@ def test_walk_through_an_empty_factor(op):
         assert (frozenset(), frozenset("cd")) in enum.pairings
         # at ({b}, {c, d}) the only dominator of b is gone
         assert enum.condition_D_everywhere is not track
+
+
+SOLO = """\
+game "solo"
+space 1 = finite {a, b, c}
+pref 1 table:
+  at a: {b, c}
+  at b: {c}
+  at c: {}
+"""
+
+
+@pytest.mark.parametrize("oracle_first", [False, True])
+def test_one_player_game_shares_its_tables(oracle_first):
+    # with no opponents, the region queries and the walk both key their
+    # masks by the empty tuple; neither may read the other's entries
+    g = parse_game(SOLO)
+    final = (frozenset("c"),)
+    if oracle_first:
+        enum = assert_walks_agree(g, Operator.DOUBLE, True)
+        assert star_reduce(g, Operator.DOUBLE).final == final
+    else:
+        assert star_reduce(g, Operator.DOUBLE).final == final
+        enum = assert_walks_agree(g, Operator.DOUBLE, True)
+    assert enum.pairings == [final]
+    assert enum.condition_D_everywhere
