@@ -485,13 +485,11 @@ def _merge_boxes(boxes: list[Box]) -> list[Box]:
 
 
 def maximal_elements(game: Game) -> MaximalElements:
-    """Profiles at which nobody prefers any replacement: all P_i empty."""
+    """Profiles at which nobody prefers any replacement: all P_i empty.
+    Finite profiles come in product order, read from the compiled masks."""
     if game.is_finite:
-        profiles = [
-            x
-            for x in game.profiles()
-            if all(not eval_value(game, game.prefs[i], x) for i in range(game.n))
-        ]
+        masks = zip(*(_finite_rows(game, i).flat for i in range(game.n)))
+        profiles = list(itertools.compress(game.profiles(), (not any(m) for m in masks)))
         return MaximalElements("profiles", profiles=profiles)
     regions = [[tuple(game.carrier(j) for j in range(game.n))]]
     for i in range(game.n):

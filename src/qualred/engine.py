@@ -10,10 +10,11 @@ against everything the opponents might still play.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 from typing import Union
 
@@ -25,11 +26,11 @@ from .games import (
     FiniteSpace,
     FiniteTable,
     Game,
+    GameError,
     Piece,
     PiecewiseMap,
     UtilityTable,
     _piece_index,
-    eval_value,
 )
 from .intervals import IntervalSet
 
@@ -90,13 +91,17 @@ class DominatorSet:
 class _FiniteRows:
     """Player i's finite preference table as int masks over game.labels(i).
 
-    A factor of player j is an int with bit k for game.labels(j)[k]. cols[k][o]
-    is the mask of P_i at own strategy labels[k] and opponent profile o, o
-    being the mixed-radix index of the opponents' labels in product order.
-    at(key) memoises in self.masks, per tuple of opponent masks, the
-    dominator mask of every own strategy in label order: the AND of its
-    column over the surviving opponent profiles. dominators(h) keeps the
-    same masks by label in self.memo, keyed by the opponents' frozensets.
+    A factor of player j is an int with bit k for game.labels(j)[k]. The
+    table is read in one pass over game.profiles() into flat, the masks in
+    product order, each distinct row converted once. cols[k][o], gathered
+    from flat by stride on first use, is the mask at own strategy labels[k]
+    and opponent profile o, o being the mixed-radix index of the opponents'
+    labels in product order: flat[(o // inner * len(labels) + k) * inner +
+    o % inner], inner counting the profiles of the players after i. at(key)
+    memoises in self.masks, per tuple of opponent masks, the dominator mask
+    of every own strategy in label order: the AND of its column over the
+    surviving opponent profiles. dominators(h) keeps the same masks by
+    label in self.memo, keyed by the opponents' frozensets.
     """
 
     def __init__(self, game: Game, i: int):
@@ -106,16 +111,25 @@ class _FiniteRows:
         self.opp_bits = [
             {s: 1 << k for k, s in enumerate(game.labels(j))} for j in self.opp
         ]
-        axes = [game.labels(j) for j in self.opp]
-        self.cols = [
-            [
-                self.mask(eval_value(game, game.prefs[i], o[:i] + (x,) + o[i:]))
-                for o in itertools.product(*axes)
-            ]
-            for x in self.labels
-        ]
+        table = game.prefs[i].table
+        try:
+            rows = list(map(table.__getitem__, game.profiles()))
+        except KeyError as missing:
+            raise GameError(f"no table row for profile {missing.args[0]}") from None
+        masks = {f: self.mask(f) for f in set(rows)}
+        self.flat = list(map(masks.__getitem__, rows))
+        self.inner = math.prod(len(game.labels(j)) for j in range(i + 1, game.n))
         self.masks: dict[tuple[int, ...], list[int]] = {}
         self.memo: dict[tuple[frozenset, ...], dict[str, int]] = {}
+
+    @cached_property
+    def cols(self) -> list[list[int]]:
+        inner, flat = self.inner, self.flat
+        block = len(self.labels) * inner or 1
+        return [
+            [m for b in range(k * inner, len(flat), block) for m in flat[b : b + inner]]
+            for k in range(len(self.labels))
+        ]
 
     def mask(self, f: frozenset) -> int:
         return sum(map(self.bit.__getitem__, f))

@@ -254,7 +254,7 @@ def eval_value(game: Game, corr: CorrMap, profile: Profile):
     for j, x in enumerate(profile):
         mask &= index.masks[j][index.segment(j, x)]
     if not mask:
-        raise GameError(f"profile {profile} not covered by any piece")
+        raise GameError(f"profile {tuple(map(str, profile))} not covered by any piece")
     k = _lowest(mask)
     value = index.values[k]
     return piece_value(corr, corr.pieces[k], profile) if value is None else value

@@ -170,9 +170,9 @@ def generate_game(config: GeneratorConfig) -> Game:
     )
 
 
-def _grid_members(vals: list[Fraction], s) -> list[int]:
-    """Indices of the sorted grid vals that lie in the interval set s."""
-    out: list[int] = []
+def _grid_runs(vals: list[Fraction], s) -> list[range]:
+    """Indices of the sorted grid vals in the interval set s, as nonempty runs."""
+    out: list[range] = []
     for part in s:
         a = bisect.bisect_left(vals, part.lo.value)
         if a < len(vals) and vals[a] == part.lo.value and not part.lo.closed:
@@ -180,7 +180,8 @@ def _grid_members(vals: list[Fraction], s) -> list[int]:
         b = bisect.bisect_right(vals, part.hi.value)
         if b > 0 and vals[b - 1] == part.hi.value and not part.hi.closed:
             b -= 1
-        out.extend(range(a, b))
+        if a < b:
+            out.append(range(a, b))
     return out
 
 
@@ -189,9 +190,11 @@ def discretize(game: Game, step) -> Game:
 
     The grid is refined with every piece-cell endpoint so no cell falls
     between grid points. Each table entry is the value eval_value gives at
-    the grid profile, cut down to the grid members it contains; tables are
-    filled piece by piece, evaluating a value once per distinct pair of
-    resolved endpoints, and the first piece covering a profile wins.
+    the grid profile, cut down to the grid members it contains. Each table is
+    one flat list in product order, written piece by piece from the last, so
+    the first piece covering a profile wins, and one row slice of the last
+    coordinate at a time; a row is built once per tuple of the other
+    coordinates its value names. The first uncovered profile is reported.
     """
     if game.is_finite:
         raise GameError("discretize needs interval spaces")
@@ -221,37 +224,45 @@ def discretize(game: Game, step) -> Game:
                 points.update(_piece_index(game, corr).cuts[j])
         axes.append(sorted(p for p in points if carrier.contains(p)))
     spaces = tuple(FiniteSpace(tuple(str(p) for p in ax)) for ax in axes)
+    strides = [math.prod(map(len, axes[j + 1 :])) for j in range(game.n)]
 
     def tabulate(corr, i: int) -> FiniteTable:
         labels = spaces[i].labels
-        filled: dict[tuple[int, ...], frozenset[str]] = {}
-        for piece in corr.pieces:
+        flat: list[frozenset[str] | None] = [None] * math.prod(map(len, axes))
+        for piece in reversed(corr.pieces):
             v = piece.value
             # the value depends on the profile only through the coordinates
-            # its endpoints name
-            named = [
+            # its endpoints name, so a row only through the others it names
+            named = {
                 e.player - 1
                 for e in ((v.lo, v.hi) if isinstance(v, SymInterval) else ())
                 if isinstance(e, Coord)
-            ]
-            memo: dict[tuple[int, ...], frozenset[str]] = {}
-            cell = [_grid_members(ax, f) for ax, f in zip(axes, piece.cell.factors)]
-            for idx in itertools.product(*cell):
-                if idx in filled:
-                    continue
-                key = tuple(idx[j] for j in named)
-                if key not in memo:
-                    profile = tuple(ax[k] for ax, k in zip(axes, idx))
-                    value = piece_value(corr, piece, profile)
-                    memo[key] = frozenset(labels[k] for k in _grid_members(axes[i], value))
-                filled[idx] = memo[key]
-        table = {}
-        for idx in itertools.product(*(range(len(ax)) for ax in axes)):
-            if idx not in filled:
-                at = tuple(ax[k] for ax, k in zip(axes, idx))
-                raise GameError(f"profile {at} not covered by any piece")
-            table[tuple(sp.labels[k] for sp, k in zip(spaces, idx))] = filled[idx]
-        return FiniteTable(i + 1, table)
+            }
+            keyed = sorted(named - {game.n - 1})
+            rows: dict[tuple[int, ...], list[frozenset[str]]] = {}
+
+            def value(idx: tuple[int, ...]) -> frozenset[str]:
+                profile = tuple(ax[k] for ax, k in zip(axes, idx))
+                runs = _grid_runs(axes[i], piece_value(corr, piece, profile))
+                return frozenset().union(*(labels[run.start : run.stop] for run in runs))
+
+            *head, tail = [_grid_runs(ax, f) for ax, f in zip(axes, piece.cell.factors)]
+            for idx in itertools.product(*(itertools.chain(*runs) for runs in head)):
+                base = sum(k * s for k, s in zip(idx, strides))
+                for run in tail:
+                    key = (run.start, *(idx[j] for j in keyed))
+                    if key not in rows:
+                        if game.n - 1 in named:
+                            rows[key] = [value(idx + (k,)) for k in run]
+                        else:
+                            rows[key] = [value(idx + (run.start,))] * len(run)
+                    flat[base + run.start : base + run.stop] = rows[key]
+        if None in flat:
+            k = flat.index(None)
+            at = tuple(str(ax[k // s % len(ax)]) for ax, s in zip(axes, strides))
+            raise GameError(f"profile {at} not covered by any piece")
+        profiles = itertools.product(*(sp.labels for sp in spaces))
+        return FiniteTable(i + 1, dict(zip(profiles, flat)))
 
     prefs = tuple(tabulate(c, i) for i, c in enumerate(game.prefs))
     comps = (

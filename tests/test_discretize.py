@@ -1,8 +1,11 @@
 """discretize against a tabulation by eval_value at every grid profile.
 
-discretize fills its tables piece by piece; these tests rebuild every table
-entry here from eval_value on the continuum game, on the fixtures, on
-restricted games (whose maps carry a clip), and on seeded piecewise games.
+discretize fills each table as one flat list in product order, writing the
+pieces last to first and each piece's cell one row of the last coordinate
+at a time; these tests rebuild every table entry here from eval_value on
+the continuum game, on the fixtures, on restricted games (whose maps carry
+a clip), on seeded piecewise games, and on unvalidated maps whose pieces
+overlap, where the first covering piece must win.
 """
 
 import itertools
@@ -13,7 +16,19 @@ import pytest
 
 from qualred.dsl import parse_game
 from qualred.engine import restrict
-from qualred.games import EMPTY_VALUE, Cell, GameError, Piece, PiecewiseMap, eval_value
+from qualred.games import (
+    EMPTY_VALUE,
+    Cell,
+    Const,
+    ContinuumSpace,
+    Coord,
+    Game,
+    GameError,
+    Piece,
+    PiecewiseMap,
+    SymInterval,
+    eval_value,
+)
 from qualred.intervals import IntervalSet
 from qualred.lab import discretize
 from test_cell_scan import random_game_text
@@ -89,7 +104,7 @@ def test_discretize_uncovered_profile_raises_like_eval_value(load_game):
     with pytest.raises(GameError) as caught:
         discretize(broken, F(1, 2))
     assert str(caught.value) == first
-
+    assert first == "profile ('1', '0') not covered by any piece"
 
 
 def test_discretize_first_covering_piece_wins(load_game):
@@ -100,3 +115,31 @@ def test_discretize_first_covering_piece_wins(load_game):
     snap = assert_tabulates(replace(game, prefs=(shadowed, game.prefs[1])), F(1, 4))
     assert snap.prefs[0].table[("1/4", "0")] == frozenset()
     assert snap.prefs[0].table[("3/4", "0")] == frozenset({"1"})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_discretize_later_piece_overlaps_part_of_a_row(n):
+    # player 1's unvalidated map: the first piece holds x_n <= 1/2 (and
+    # x2 <= 1/2 at three players) with a value naming x1; the second
+    # covers everything with a value naming the last coordinate, so rows
+    # of x_n are split between the two pieces and the first must win
+    full, half = I(0, 1), I(0, F(1, 2))
+    first = Piece(
+        Cell(tuple(half if j in (1, n - 1) else full for j in range(n))),
+        SymInterval(Const(F(0)), True, Coord(1), False),
+    )
+    second = Piece(Cell((full,) * n), SymInterval(Coord(n), True, Const(F(1)), True))
+    whole = Piece(Cell((full,) * n), EMPTY_VALUE)
+    game = Game(
+        name="overlap",
+        spaces=(ContinuumSpace(full),) * n,
+        prefs=(PiecewiseMap(1, (first, second)),)
+        + tuple(PiecewiseMap(i + 1, (whole,)) for i in range(1, n)),
+    )
+    snap = assert_tabulates(game, F(1, 4))
+    table = snap.prefs[0].table
+    low = ("1",) + ("1/4",) * (n - 1)
+    assert table[low] == frozenset({"0", "1/4", "1/2", "3/4"})
+    assert table[low[:-1] + ("3/4",)] == frozenset({"3/4", "1"})
+    if n == 3:
+        assert table[("1", "3/4", "1/4")] == frozenset({"1/4", "1/2", "3/4", "1"})

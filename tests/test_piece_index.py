@@ -30,7 +30,7 @@ def scan_value(corr, profile):
     for piece in corr.pieces:
         if all(x in f for f, x in zip(piece.cell.factors, profile)):
             return piece_value(corr, piece, profile)
-    raise GameError(f"profile {profile} not covered by any piece")
+    raise GameError(f"profile {tuple(str(v) for v in profile)} not covered by any piece")
 
 
 def _probe_axes(game, corr) -> list[list[F]]:
@@ -99,6 +99,8 @@ def test_lowest_covering_piece_wins(load_game):
 def test_uncovered_profile_raises(load_game):
     game = load_game("fx1.qg")
     pruned = replace(game.prefs[0], pieces=game.prefs[0].pieces[:1])
-    with pytest.raises(GameError, match=r"not covered by any piece"):
+    with pytest.raises(GameError) as caught:
         eval_value(game, pruned, (F(1), F(0)))
+    # rendered like validate_piecewise's profiles, not as Fraction reprs
+    assert str(caught.value) == "profile ('1', '0') not covered by any piece"
     assert eval_value(game, pruned, (F(0), F(1))) == IntervalSet.interval(0, 1, False)
