@@ -316,11 +316,11 @@ def enumerate_maximal_reductions(
     seen: set[tuple[int, ...]] = set()
     maximal: list[tuple[tuple[str, ...], ...]] = []  # labels in label order
     d_holds = True
-
-    def visit(h: tuple[int, ...]) -> None:
-        nonlocal d_holds
+    stack = [tuple((1 << len(r.labels)) - 1 for r in rows)]
+    while stack:
+        h = stack.pop()
         if h in seen:
-            return
+            continue
         seen.add(h)
         progressed = False
         for i, own in enumerate(h):
@@ -334,13 +334,11 @@ def enumerate_maximal_reductions(
                 bit = 1 << k
                 if own & bit and d & (own & ~bit if double else -1):
                     progressed = True
-                    visit(h[:i] + (own & ~bit,) + h[i + 1 :])
+                    stack.append(h[:i] + (own & ~bit,) + h[i + 1 :])
         if not progressed:
             maximal.append(
                 tuple(tuple(s for s in r.labels if m & r.bit[s]) for r, m in zip(rows, h))
             )
-
-    visit(tuple((1 << len(r.labels)) - 1 for r in rows))
     return EnumerationResult(
         pairings=[tuple(map(frozenset, key)) for key in sorted(maximal)],
         condition_D_everywhere=d_holds,
