@@ -351,12 +351,10 @@ HYPOTHESIS_CHECKS = {
 def check_hypotheses(game: Game, names: list[str] | None = None) -> dict[str, Verdict]:
     if names is None:
         names = list(HYPOTHESIS_CHECKS)
-    out = {}
-    for name in names:
-        if name not in HYPOTHESIS_CHECKS:
-            raise GameError(f"unknown hypothesis {name!r}")
-        out[name] = HYPOTHESIS_CHECKS[name](game)
-    return out
+    unknown = [name for name in names if name not in HYPOTHESIS_CHECKS]
+    if unknown:
+        raise GameError(f"unknown hypothesis {unknown[0]!r}")
+    return {name: HYPOTHESIS_CHECKS[name](game) for name in names}
 
 
 def check_condition_D(game: Game, h: Pairing) -> Verdict:
@@ -364,8 +362,6 @@ def check_condition_D(game: Game, h: Pairing) -> Verdict:
     name = "condition-D"
     full = full_pairing(game)
     for i in range(game.n):
-        if not all(h[j] for j in range(game.n) if j != i):
-            continue
         dominated = _region_where(game, h, i, domain=full[i])
         bad = dominated - _region_where(game, h, i, domain=dominated, member=h[i])
         if bad:
@@ -379,8 +375,6 @@ def check_condition_C(game: Game, h: Pairing) -> Verdict:
     name = "condition-C"
     full = full_pairing(game)
     for i in range(game.n):
-        if not all(h[j] for j in range(game.n) if j != i):
-            continue
         dominated = _region_where(game, h, i, domain=full[i])
         good = _region_where(game, h, i, domain=dominated, member=full[i] - dominated)
         bad = dominated - good

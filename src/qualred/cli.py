@@ -26,6 +26,7 @@ from qualred.engine import Operator, render_pairing
 from qualred.games import Game, GameError
 from qualred.intervals import IntervalSet
 from qualred.lab import (
+    CHECK_NAMES,
     BoundExceeded,
     FuzzConfig,
     enumerate_maximal_reductions,
@@ -142,7 +143,7 @@ def _trace_payload(game: Game, trace: ReductionTrace) -> dict:
     return payload
 
 
-def _trace_text(payload: dict) -> str:
+def _trace_lines(payload: dict) -> list[str]:
     lines = [
         f"game {payload['game']}  operator {payload['operator']}  kind {payload['kind']}",
         f"status {_paint(payload['status'])}",
@@ -156,7 +157,7 @@ def _trace_text(payload: dict) -> str:
         lines.append(f"step {k + 1}: {cols}  [{audit}]")
     if "path_valid" in payload:
         lines.append("valid steps: " + " ".join(str(v) for v in payload["path_valid"]))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _parse_script(arg: str, game: Game):
@@ -166,7 +167,12 @@ def _parse_script(arg: str, game: Game):
         raise CliError(f"{arg}: {exc}", EXIT_BAD_PATH)
 
 
-def cmd_reduce(args) -> int:
+# Each cmd_* returns (exit code, JSON payload, text lines); main writes
+# whichever of the two reports --format asks for.
+Report = tuple[int, object, list[str]]
+
+
+def cmd_reduce(args) -> Report:
     game = _load_game(args.game)
     if args.path is not None:
         steps = _parse_script(args.path, game)
@@ -177,11 +183,7 @@ def cmd_reduce(args) -> int:
     else:
         trace = star_reduce(game, _OPS[args.op], max_iters=args.max_iters)
     payload = _trace_payload(game, trace)
-    if args.format == "text":
-        _emit(_trace_text(payload), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return _STATUS_EXIT[trace.status]
+    return _STATUS_EXIT[trace.status], payload, _trace_lines(payload)
 
 
 def _conditions_payload(game: Game, op: Operator, wanted: list[str]) -> dict:
@@ -199,28 +201,24 @@ def _conditions_payload(game: Game, op: Operator, wanted: list[str]) -> dict:
     return {"operator": op.value, "stages": stages, "all_hold": all_ok}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Report:
     game = _load_game(args.game)
     payload: dict = {"game": game.name}
+    lines = []
     ok = True
 
-    if args.hypotheses is None and args.conditions is None:
+    if args.hypotheses == "all" or (args.hypotheses is None and args.conditions is None):
         names = list(HYPOTHESIS_CHECKS)
-    elif args.hypotheses is not None:
-        if args.hypotheses == "all":
-            names = list(HYPOTHESIS_CHECKS)
-        else:
-            names = [s.strip() for s in args.hypotheses.split(",") if s.strip()]
-            unknown = [n for n in names if n not in HYPOTHESIS_CHECKS]
-            if unknown:
-                raise CliError(f"unknown hypothesis {unknown[0]!r}", EXIT_PARSE)
     else:
-        names = []
+        names = [s.strip() for s in (args.hypotheses or "").split(",") if s.strip()]
 
     if names:
         verdicts = check_hypotheses(game, names)
         payload["hypotheses"] = {k: v.to_dict() for k, v in verdicts.items()}
-        ok = ok and all(v.ok for v in verdicts.values())
+        ok = all(v.ok for v in verdicts.values())
+        for name, v in payload["hypotheses"].items():
+            extra = f"  witness={v['witness']}" if "witness" in v else ""
+            lines.append(f"{name}: {_paint(v['status'])}{extra}")
 
     if args.conditions is not None:
         wanted = [s.strip().upper() for s in args.conditions.split(",") if s.strip()]
@@ -229,36 +227,22 @@ def cmd_check(args) -> int:
             raise CliError(f"unknown condition {bad[0]!r}", EXIT_PARSE)
         payload["conditions"] = _conditions_payload(game, _OPS[args.op], wanted)
         ok = ok and payload["conditions"]["all_hold"]
+        for row in payload["conditions"]["stages"]:
+            cols = "  ".join(
+                f"{c}={_paint(row[c]['status'])}" for c in row if c != "stage"
+            )
+            lines.append(f"stage {row['stage']}: {cols}")
 
-    if args.format == "text":
-        lines = []
-        for name, v in payload.get("hypotheses", {}).items():
-            extra = f"  witness={v['witness']}" if "witness" in v else ""
-            lines.append(f"{name}: {_paint(v['status'])}{extra}")
-        if "conditions" in payload:
-            for row in payload["conditions"]["stages"]:
-                cols = "  ".join(
-                    f"{c}={_paint(row[c]['status'])}" for c in row if c != "stage"
-                )
-                lines.append(f"stage {row['stage']}: {cols}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, payload, lines
 
 
-def cmd_maximal(args) -> int:
+def cmd_maximal(args) -> Report:
     game = _load_game(args.game)
     payload = _maximal_payload(maximal_elements(game))
-    if args.format == "text":
-        lines = [" ".join(row) for row in payload] or ["(none)"]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return EXIT_OK, payload, [" ".join(row) for row in payload] or ["(none)"]
 
 
-def cmd_preserve(args) -> int:
+def cmd_preserve(args) -> Report:
     game = _load_game(args.game)
     op = _OPS[args.op]
     if args.path is not None:
@@ -276,33 +260,26 @@ def cmd_preserve(args) -> int:
     if trace.path_valid is not None:
         payload["path_valid"] = list(trace.path_valid)
     payload.update(report.to_dict())
-    if args.format == "text":
-        lines = [f"game {payload['game']}  status {_paint(payload['status'])}"]
-        if report.label:
-            lines.append(f"label {report.label}")
-        if report.witness is not None:
-            lines.append("witness " + " ".join(str(w) for w in report.witness))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK if report.equal else EXIT_NOT_EQUAL
+    lines = [f"game {payload['game']}  status {_paint(payload['status'])}"]
+    if report.label:
+        lines.append(f"label {report.label}")
+    if report.witness is not None:
+        lines.append("witness " + " ".join(str(w) for w in report.witness))
+    return EXIT_OK if report.equal else EXIT_NOT_EQUAL, payload, lines
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> Report:
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
         raise CliError(f"bad --sizes value {args.sizes!r}", EXIT_PARSE)
     if args.check is None:
-        checks = None
+        checks = CHECK_NAMES
     else:
-        try:
-            checks = tuple(
-                resolve_check_name(s.strip()) for s in args.check.split(",") if s.strip()
-            )
-        except GameError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
-    kwargs = dict(
+        checks = tuple(
+            resolve_check_name(s.strip()) for s in args.check.split(",") if s.strip()
+        )
+    config = FuzzConfig(
         trials=args.trials,
         seed=args.seed,
         players=args.players,
@@ -311,17 +288,13 @@ def cmd_fuzz(args) -> int:
         irreflexive=args.irreflexive,
         property_t_pair=args.property_t_pair,
         with_q_reflexive=args.with_q_reflexive,
+        checks=checks,
         oracle_bound=args.oracle_bound,
     )
-    if checks is not None:
-        kwargs["checks"] = checks
-    try:
-        report = fuzz(FuzzConfig(**kwargs))
-    except GameError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    report = fuzz(config)
     if args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    elif args.format == "text":
+        lines = report.to_csv().splitlines()
+    else:
         lines = [
             f"trials {report.config.trials}  seed {report.config.seed}",
             f"violations {report.violation_count}",
@@ -329,13 +302,11 @@ def cmd_fuzz(args) -> int:
         ]
         for f in report.findings:
             lines.append(f"finding: {f.check} trial={f.trial} seed={f.seed}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(report.to_dict()), args.out)
-    return EXIT_OK if report.violation_count == 0 else EXIT_CHECK_FAILED
+    code = EXIT_OK if report.violation_count == 0 else EXIT_CHECK_FAILED
+    return code, report.to_dict(), lines
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Report:
     game = _load_game(args.game)
     op = _OPS[args.op]
     try:
@@ -344,8 +315,6 @@ def cmd_oracle(args) -> int:
         )
     except BoundExceeded as exc:
         raise CliError(str(exc), EXIT_BOUND)
-    except GameError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
     payload = {
         "game": game.name,
         "operator": op.value,
@@ -355,26 +324,37 @@ def cmd_oracle(args) -> int:
         "order_dependent": result.order_dependent,
         "pairings": [render_pairing(game, h) for h in result.pairings],
     }
-    if args.format == "text":
-        lines = [
-            f"game {payload['game']}  operator {payload['operator']}",
-            f"maximal reductions {len(result.pairings)}  visited {result.visited}",
-        ]
-        for h in payload["pairings"]:
-            lines.append("  " + "  ".join(f"{p}={s}" for p, s in h.items()))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    lines = [
+        f"game {payload['game']}  operator {payload['operator']}",
+        f"maximal reductions {len(result.pairings)}  visited {result.visited}",
+    ]
+    for h in payload["pairings"]:
+        lines.append("  " + "  ".join(f"{p}={s}" for p, s in h.items()))
+    return EXIT_OK, payload, lines
 
 
-def _add_common(sub: argparse.ArgumentParser, game_arg: bool = True) -> None:
-    if game_arg:
-        sub.add_argument("game", help="game file, or the name of a bundled fixture")
-    sub.add_argument("--op", choices=sorted(_OPS), default="double")
-    sub.add_argument("--max-iters", type=int, default=1000)
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def positive_int(text: str) -> int:
+    """argparse type of --max-iters."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _subcommand(subs, name: str, fn, summary: str, *, game: bool = True, op: bool = False,
+                max_iters: bool = False, formats=("json", "text")) -> argparse.ArgumentParser:
+    """A subparser with only the shared options that fn reads."""
+    p = subs.add_parser(name, help=summary)
+    if game:
+        p.add_argument("game", help="game file, or the name of a bundled fixture")
+    if op:
+        p.add_argument("--op", choices=sorted(_OPS), default="double")
+    if max_iters:
+        p.add_argument("--max-iters", type=positive_int, default=1000)
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--format", choices=formats, default="json")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,30 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("reduce", help="run the fast reduction or a scripted path")
-    _add_common(p)
+    p = _subcommand(subs, "reduce", cmd_reduce, "run the fast reduction or a scripted path",
+                    op=True, max_iters=True)
     p.add_argument("--path", default=None, help="path script to follow")
-    p.set_defaults(fn=cmd_reduce)
 
-    p = subs.add_parser("check", help="verify hypotheses and stage conditions")
-    _add_common(p)
+    p = _subcommand(subs, "check", cmd_check, "verify hypotheses and stage conditions", op=True)
     p.add_argument("--hypotheses", default=None,
                    help="comma-separated hypothesis names, or 'all'")
     p.add_argument("--conditions", default=None, help="comma-separated from C,D")
-    p.set_defaults(fn=cmd_check)
 
-    p = subs.add_parser("maximal", help="maximal elements of a game")
-    _add_common(p)
-    p.set_defaults(fn=cmd_maximal)
+    _subcommand(subs, "maximal", cmd_maximal, "maximal elements of a game")
 
-    p = subs.add_parser("preserve", help="compare maximal elements before and after reduction")
-    _add_common(p)
+    p = _subcommand(subs, "preserve", cmd_preserve,
+                    "compare maximal elements before and after reduction",
+                    op=True, max_iters=True)
     p.add_argument("--path", default=None,
                    help="path script applied as a restriction; default is the fast limit")
-    p.set_defaults(fn=cmd_preserve)
 
-    p = subs.add_parser("fuzz", help="randomized cross-validation over generated games")
-    _add_common(p, game_arg=False)
+    p = _subcommand(subs, "fuzz", cmd_fuzz, "randomized cross-validation over generated games",
+                    game=False, formats=("json", "csv", "text"))
     p.add_argument("--players", type=int, default=2)
     p.add_argument("--sizes", default="3,3")
     p.add_argument("--trials", type=int, default=100)
@@ -418,32 +393,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property-t-pair", action="store_true")
     p.add_argument("--with-q-reflexive", action="store_true")
     p.add_argument("--oracle-bound", type=int, default=16)
-    p.set_defaults(fn=cmd_fuzz)
 
-    p = subs.add_parser("oracle", help="enumerate every maximal reduction of a finite game")
-    _add_common(p)
+    p = _subcommand(subs, "oracle", cmd_oracle,
+                    "enumerate every maximal reduction of a finite game", op=True)
     p.add_argument("--bound", type=int, default=16,
                    help="largest product of strategy counts accepted")
-    p.set_defaults(fn=cmd_oracle)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.max_iters < 1:
-        parser.error("--max-iters must be at least 1")
-    if args.format == "csv" and args.command != "fuzz":
-        parser.error("csv output is only available for fuzz")
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except CliError as exc:
+        code, payload, lines = args.fn(args)
+    except (CliError, GameError) as exc:
         print(f"qualred: {exc}", file=sys.stderr)
-        return exc.code
-    except GameError as exc:
-        print(f"qualred: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.code if isinstance(exc, CliError) else EXIT_PARSE
+    text = _json_text(payload) if args.format == "json" else "\n".join(lines) + "\n"
+    _emit(text, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -440,14 +440,7 @@ def validate_finite_table(game: Game, corr: FiniteTable) -> None:
                 f"player {corr.player}: no row for profile {','.join(x)}",
                 kind="uncovered",
             )
-    all_profiles = set(game.profiles())
     for x in corr.table:
-        if x not in all_profiles:
-            raise GameError(
-                f"player {corr.player}: row profile {','.join(x)} "
-                "uses unknown labels",
-                kind="syntax",
-            )
         bad = set(corr.table[x]) - own
         if bad:
             raise GameError(

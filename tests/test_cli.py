@@ -208,9 +208,35 @@ def test_text_format_plain_and_colored(capsys, monkeypatch):
 
 
 def test_csv_limited_to_fuzz(capsys):
+    for command in ("reduce", "check", "maximal", "preserve", "oracle"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "fx1.qg", "--format", "csv"])
+        assert info.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal", "fx1.qg", "--op", "arrow"],
+        ["maximal", "fx1.qg", "--max-iters", "1"],
+        ["fuzz", "--trials", "1", "--op", "arrow"],
+        ["fuzz", "--trials", "1", "--max-iters", "1"],
+        ["oracle", "fxf1.qg", "--max-iters", "1"],
+        ["check", "fxf1.qg", "--max-iters", "1"],
+        ["reduce", "fx1.qg", "--max-iters", "0"],
+        ["preserve", "fx1.qg", "--max-iters", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}",
+)
+def test_unread_or_invalid_option_is_a_usage_error(capsys, argv):
+    # each subcommand declares only the options it reads, and argparse
+    # refuses an iteration cap below 1
     with pytest.raises(SystemExit) as info:
-        main(["maximal", "fx1.qg", "--format", "csv"])
+        main(argv)
     assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qualred ") and argv[-2] in err.splitlines()[-1]
 
 
 def test_local_file_beats_fixture_lookup(capsys, tmp_path, monkeypatch):

@@ -160,6 +160,10 @@ def test_finite_game_table_checks():
     e = err(base + "pref 1 table:\n  at a,c: {z}\n  at b,c: {}\n"
             + "pref 2 table:\n  at a,c: {}\n  at b,c: {}\n")
     assert "unknown" in str(e) or e.kind == "escape"
+    e = err(base + "pref 1 table:\n  at a,c: {b}\n  at q,c: {b}\n  at b,c: {}\n"
+            + "pref 2 table:\n  at a,c: {}\n  at b,c: {}\n")
+    assert e.kind == "syntax" and e.line == 6
+    assert "unknown strategy 'q' for player 1" in str(e)
 
 
 def test_comment_and_blank_lines_ignored():

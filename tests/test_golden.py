@@ -2,12 +2,16 @@
 
 Each case's golden file holds the report the call writes with ``--out``, or
 its stderr when it writes no report. Regenerate after an intended change of
-behaviour with ``PYTHONPATH=src python tests/test_golden.py``.
+behaviour with ``PYTHONPATH=src python tests/test_golden.py``. A case whose
+exit code disagrees with ``CASES`` keeps its old golden file, and the script
+then exits non-zero naming every such case.
 """
 
 import contextlib
 import io
 import os
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -80,9 +84,15 @@ def test_golden_report(name, argv, code, tmp_path, monkeypatch):
 if __name__ == "__main__":
     os.environ.pop("QUALRED_COLOR", None)
     os.chdir(GOLDEN)
+    mismatched = []
     for name, argv, code in CASES:
-        target = GOLDEN / name
-        target.unlink(missing_ok=True)
-        got_code, got = _run(argv, target)
-        target.write_bytes(got)
-        print(f"{name}: exit {got_code}" + ("" if got_code == code else f" (table says {code})"))
+        with tempfile.TemporaryDirectory() as tmp:
+            got_code, got = _run(argv, Path(tmp) / "report")
+        if got_code != code:
+            mismatched.append(name)
+            print(f"{name}: exit {got_code}, table says {code}; golden file left untouched")
+            continue
+        (GOLDEN / name).write_bytes(got)
+        print(f"{name}: exit {got_code}")
+    if mismatched:
+        sys.exit("exit codes disagree with CASES: " + ", ".join(mismatched))
