@@ -16,24 +16,10 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import and_
 
-from .games import (
-    Box,
-    Const,
-    Coord,
-    EmptyValue,
-    Game,
-    GameError,
-    PiecewiseMap,
-    _piece_index,
-    box_intersect,
-    box_is_empty,
-    box_pick_point,
-    boxes_subtract,
-    eval_value,
-    piece_value,
-)
-from .intervals import IntervalSet
+from .games import Game, GameError, _piece_index, eval_value
+from .intervals import Boundary, Interval, IntervalSet
 from .engine import (
     Pairing,
     _finite_rows,
@@ -41,7 +27,6 @@ from .engine import (
     dominator_set,
     factor_pick,
     full_pairing,
-    restrict,
 )
 
 def _fmt(value) -> str:
@@ -82,8 +67,9 @@ def _global_breakpoints(game: Game) -> list[Fraction]:
     return sorted(values)
 
 
-def _order_cells(game: Game, players: list[int]):
-    """One point per order cell of a continuum game, in lexicographic order.
+def _order_cells(game: Game, players: list[int], points: list[Fraction]):
+    """One point per order cell of a continuum game, in lexicographic order,
+    for sorted points that hold the game's constants.
 
     Coordinate k ranges over the carrier of player players[k]. A cell fixes
     which constant, or which open gap between consecutive constants, each
@@ -99,7 +85,6 @@ def _order_cells(game: Game, players: list[int]):
     in its cell, so a scan of these points meets the same first witness as
     a scan of the whole grid.
     """
-    points = _global_breakpoints(game)
     slots = game.n + 1
 
     def options(carrier: IntervalSet) -> list[tuple[Fraction, int, int]]:
@@ -154,7 +139,7 @@ def _points(game: Game, players: list[int]):
     point per order cell of a continuum game, in lexicographic order."""
     if game.is_finite:
         return itertools.product(*(game.labels(j) for j in players))
-    return _order_cells(game, players)
+    return _order_cells(game, players, _global_breakpoints(game))
 
 
 def _closure(v):
@@ -296,7 +281,7 @@ def check_open_lower_sections(game: Game) -> Verdict:
         return y in values[i, x]
 
     for i in range(game.n):
-        for (y,) in _order_cells(game, [i]):
+        for (y,) in _order_cells(game, [i], base_points):
             probe_opts: list[dict[Fraction, list[Fraction]]] = []
             for carrier in carriers:
                 cells = list(carrier.split([*base_points, y]))
@@ -413,95 +398,98 @@ def find_undominated_dominator(game: Game, h: Pairing, i: int, x) -> DominatorSe
 
 @dataclass
 class MaximalElements:
+    """Profiles of a finite game in product order, or the canonical boxes
+    (see ``_boxes``) of a continuum region, sorted by their rendering."""
+
     kind: str  # "profiles" | "boxes"
     profiles: list[tuple] = field(default_factory=list)
-    boxes: list[Box] = field(default_factory=list)
+    boxes: list[tuple[IntervalSet, ...]] = field(default_factory=list)
 
     def is_empty(self) -> bool:
         return not self.profiles and not self.boxes
 
 
-def _value_empty_boxes(game: Game, corr: PiecewiseMap, piece) -> list[Box]:
-    """The part of the piece's cell where its value, clip included, is empty.
+def _boxes(points: list[Fraction], cells: set[tuple[int, ...]]) -> list[tuple]:
+    """The canonical boxes of a union of product cells, each a tuple of
+    segment numbers over the points as in ``_PieceIndex.segment``. At the
+    first coordinate, the segments with the same cross-section share one
+    factor, and each cross-section is split likewise, so the boxes depend
+    on the region only, not on the points that cut it."""
 
-    The value reads at most one coordinate j and compares it only with its
-    constant ends and the clip's endpoints, so a scan of the cell's factor j
-    over those cuts decides the region exactly. A constant value reads no
-    coordinate; scanning factor 0 then keeps all of it or nothing.
-    """
-    cell: Box = tuple(piece.cell.factors)
-    v = piece.value
-    if isinstance(v, EmptyValue):
-        return [cell]
-    read = {e.player - 1 for e in (v.lo, v.hi) if isinstance(e, Coord)}
-    if len(read) > 1:
-        raise GameError(
-            "region extraction does not support values whose two "
-            "endpoints track different players"
+    def interval(s: int) -> Interval:
+        # odd s: the point points[s // 2]; even s: the gap just below it
+        a, b = points[(s - 1) // 2], points[s // 2]
+        return Interval(Boundary(a, a == b), Boundary(b, a == b))
+
+    def split(cells) -> list[tuple]:
+        if () in cells:
+            return [()]
+        sections: dict[int, set] = {}
+        for c in cells:
+            sections.setdefault(c[0], set()).add(c[1:])
+        groups: dict[frozenset, list[int]] = {}
+        for s, tails in sections.items():
+            groups.setdefault(frozenset(tails), []).append(s)
+        return [
+            (IntervalSet.from_parts(map(interval, segs)),) + box
+            for tails, segs in groups.items()
+            for box in split(tails)
+        ]
+
+    return sorted(split(cells), key=lambda box: [f.render() for f in box])
+
+
+def _continuum_regions(game: Game, h: Pairing):
+    """Maximal elements of a continuum game and of the game reduced to h,
+    and the first order-cell point maximal in the first only, or else in
+    the second only (None when they agree). At a profile x of h the
+    reduced P_i(x) is P_i(x) cut to h[i], so one pass over the order
+    cells, cut at h's endpoints too, decides both. A union of boxes holds
+    each product cell (a constant or open gap on every axis) wholly or not
+    at all; a region that splits one, like x1 >= x2, raises GameError."""
+    points = sorted(set(_global_breakpoints(game)).union(*(f.endpoints() for f in h)))
+    # segment number of each value met, as in _PieceIndex.segment; none is
+    # 0, as every coordinate lies at or above the first point
+    segment = {t: 2 * k + 1 for k, t in enumerate(points)}
+    kept = [{2 * bisect_left(points, b) + (a == b) for a, b, _ in f.split(points)} for f in h]
+    cells: dict[tuple[int, ...], tuple[bool, bool]] = {}
+    first: dict[tuple[bool, bool], tuple] = {}
+    for x in _order_cells(game, list(range(game.n)), points):
+        key = tuple(
+            segment.get(t) or segment.setdefault(t, 2 * bisect_left(points, t)) for t in x
         )
-    j = read.pop() if read else 0
-    cuts = [e.value for e in (v.lo, v.hi) if isinstance(e, Const)]
-    if corr.clip is not None:
-        cuts.extend(corr.clip.endpoints())
-    n = game.n
-    factor = cell[j].select(cuts, lambda t: piece_value(corr, piece, (t,) * n).is_empty)
-    return [cell[:j] + (factor,) + cell[j + 1 :]] if factor else []
-
-
-def _merge_boxes(boxes: list[Box]) -> list[Box]:
-    current = [b for b in boxes if not box_is_empty(b)]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(current)):
-            for b in range(a + 1, len(current)):
-                diff = [
-                    k
-                    for k in range(len(current[a]))
-                    if current[a][k] != current[b][k]
-                ]
-                if len(diff) <= 1:
-                    merged = list(current[a])
-                    if diff:
-                        k = diff[0]
-                        merged[k] = current[a][k].union(current[b][k])
-                    current = (
-                        current[:a]
-                        + [tuple(merged)]
-                        + current[a + 1 : b]
-                        + current[b + 1 :]
-                    )
-                    changed = True
-                    break
-            if changed:
+        orig, red = True, all(s in k for s, k in zip(key, kept))
+        for corr, f in zip(game.prefs, h):
+            if not (orig or red):
                 break
-    return sorted(current, key=lambda box: [f.render() for f in box])
+            v = eval_value(game, corr, x)
+            if v:
+                orig, red = False, red and not (v & f)
+        if cells.setdefault(key, (orig, red)) != (orig, red):
+            raise GameError(
+                "the maximal elements are not a finite union of boxes: "
+                f"near profile {_fmt(x)} they depend on the order of coordinates"
+            )
+        first.setdefault((orig, red), x)
+    original, reduced = (
+        MaximalElements("boxes", boxes=_boxes(points, {c for c, m in cells.items() if m[k]}))
+        for k in (0, 1)
+    )
+    return original, reduced, first.get((True, False)) or first.get((False, True))
 
 
 def maximal_elements(game: Game) -> MaximalElements:
     """Profiles at which nobody prefers any replacement: all P_i empty.
-    Finite profiles come in product order, read from the compiled masks."""
+    Finite profiles come in product order, read from the compiled masks;
+    a continuum region comes as its canonical boxes, or raises GameError
+    when it is not a finite union of boxes (see ``_continuum_regions``)."""
     if game.is_finite:
         masks = zip(*(_finite_rows(game, i).flat for i in range(game.n)))
         profiles = list(itertools.compress(game.profiles(), (not any(m) for m in masks)))
         return MaximalElements("profiles", profiles=profiles)
-    regions = [[tuple(game.carrier(j) for j in range(game.n))]]
-    for i in range(game.n):
-        corr = game.prefs[i]
-        empty_boxes: list[Box] = []
-        for piece in corr.pieces:
-            empty_boxes.extend(_value_empty_boxes(game, corr, piece))
-        regions.append(empty_boxes)
-    current = regions[0]
-    for empty_boxes in regions[1:]:
-        nxt = []
-        for a in current:
-            for b in empty_boxes:
-                cut = box_intersect(a, b)
-                if not box_is_empty(cut):
-                    nxt.append(cut)
-        current = nxt
-    return MaximalElements("boxes", boxes=_merge_boxes(current))
+    # reduced to empty sets, the game has no maximal elements: the scan
+    # evaluates the original side only
+    return _continuum_regions(game, (IntervalSet.empty(),) * game.n)[0]
 
 
 @dataclass
@@ -535,24 +523,26 @@ class PreservationReport:
 def check_preservation(game: Game, final: Pairing) -> PreservationReport:
     """Compare maximal elements before reduction and inside the reduced
     game. Inequality is labeled an expected counterexample whenever one of
-    the preservation hypotheses already fails (or cannot be checked)."""
-    original = maximal_elements(game)
-    reduced_game = restrict(game, final)
-    reduced = maximal_elements(reduced_game)
-    witness = None
+    the preservation hypotheses already fails (or cannot be checked).
+
+    The reduced game is never built: at a profile x of final its P_i(x)
+    is P_i(x) cut to final[i]. A finite witness is the least profile
+    maximal on one side only, a continuum one as in ``_continuum_regions``.
+    """
     if game.is_finite:
-        a, b = set(original.profiles), set(reduced.profiles)
-        equal = a == b
-        if not equal:
-            sym = sorted(a ^ b)
-            witness = sym[0]
+        original = maximal_elements(game)
+        rows = [_finite_rows(game, i) for i in range(game.n)]
+        keep = [sum(b for s, b in r.bit.items() if s in f) for r, f in zip(rows, final)]
+        profiles = [
+            x
+            for x, *masks in zip(game.profiles(), *(r.flat for r in rows))
+            if all(t in f for t, f in zip(x, final)) and not any(map(and_, masks, keep))
+        ]
+        reduced = MaximalElements("profiles", profiles=profiles)
+        witness = min(set(original.profiles) ^ set(reduced.profiles), default=None)
     else:
-        only_a = boxes_subtract(original.boxes, reduced.boxes)
-        only_b = boxes_subtract(reduced.boxes, original.boxes)
-        equal = not only_a and not only_b
-        if not equal:
-            pool = only_a if only_a else only_b
-            witness = box_pick_point(pool[0])
+        original, reduced, witness = _continuum_regions(game, final)
+    equal = witness is None
     hypotheses = {
         "irreflexive": check_irreflexive(game),
         "propertyT-pair": check_property_T_pair(game),

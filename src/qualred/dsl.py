@@ -24,6 +24,7 @@ from .games import (
     ContinuumSpace,
     Coord,
     EMPTY_VALUE,
+    EmptyValue,
     FiniteSpace,
     FiniteTable,
     Game,
@@ -347,7 +348,7 @@ def _render_expr(expr) -> str:
 
 
 def _render_value(value) -> str:
-    if value is EMPTY_VALUE or isinstance(value, type(EMPTY_VALUE)):
+    if isinstance(value, EmptyValue):
         return "empty"
     bra = "[" if value.lo_closed else "("
     ket = "]" if value.hi_closed else ")"

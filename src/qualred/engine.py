@@ -60,10 +60,6 @@ def full_pairing(game: Game) -> Pairing:
     )
 
 
-def pairing_is_subset(a: Pairing, b: Pairing) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def factor_pick(game: Game, i: int, f: Factor):
     """A member of a nonempty factor: the first in label order for finite
     games, so witnesses do not depend on set iteration order."""

@@ -303,53 +303,6 @@ def derive_pref_from_utility(game: Game) -> Game:
     return replace(game, prefs=tuple(prefs), prefs_derived=True)
 
 
-# Product boxes: tuples of one IntervalSet per player. Used for region
-# arithmetic on maximal-element sets.
-Box = tuple[IntervalSet, ...]
-
-
-def box_is_empty(box: Box) -> bool:
-    return any(f.is_empty for f in box)
-
-
-def box_intersect(a: Box, b: Box) -> Box:
-    return tuple(x.intersect(y) for x, y in zip(a, b))
-
-
-def box_subtract(a: Box, b: Box) -> list[Box]:
-    """a minus b as disjoint boxes, one per axis of escape."""
-    out: list[Box] = []
-    prefix: list[IntervalSet] = []
-    for k in range(len(a)):
-        outside = a[k].difference(b[k])
-        if not outside.is_empty:
-            box = tuple(prefix) + (outside,) + a[k + 1 :]
-            if not box_is_empty(box):
-                out.append(box)
-        inside = a[k].intersect(b[k])
-        if inside.is_empty:
-            return out
-        prefix.append(inside)
-    return out
-
-
-def boxes_subtract(boxes: list[Box], minus: list[Box]) -> list[Box]:
-    current = [b for b in boxes if not box_is_empty(b)]
-    for m in minus:
-        if box_is_empty(m):
-            continue
-        current = [frag for b in current for frag in box_subtract(b, m)]
-    return current
-
-
-def boxes_cover_equal(a: list[Box], b: list[Box]) -> bool:
-    return not boxes_subtract(a, b) and not boxes_subtract(b, a)
-
-
-def box_pick_point(box: Box) -> tuple[Fraction, ...]:
-    return tuple(f.pick() for f in box)
-
-
 def _endpoint_hull(
     expr: EndpointExpr, closed: bool, cell: Cell, low_side: bool
 ) -> Boundary:

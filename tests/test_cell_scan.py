@@ -244,4 +244,5 @@ def test_order_cells_are_the_least_grid_points(seed, n):
         if n == 2:
             orders += [[0, 1, 0], [0, 1, 1]]
         for players in orders:
-            assert list(_order_cells(g, players)) == brute_order_cells(g, players), players
+            cells = _order_cells(g, players, _global_breakpoints(g))
+            assert list(cells) == brute_order_cells(g, players), players

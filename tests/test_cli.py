@@ -125,6 +125,24 @@ def test_preserve_exit_codes(capsys):
     assert payload["path_valid"] == [False]
 
 
+DIAGONAL = (
+    'game "diagonal"\nspace 1 = interval [0,1]\nspace 2 = interval [0,1]\n'
+    "pref 1 piecewise:\n  when x1 in [0,1]: (x1, x2]\n"
+    "pref 2 piecewise:\n  when x2 in [0,1]: empty\n"
+)
+
+
+@pytest.mark.parametrize("command", ["maximal", "preserve"])
+def test_region_not_a_union_of_boxes_exit_1(capsys, tmp_path, command):
+    # maximal where x1 >= x2: the square cut along its diagonal
+    game = tmp_path / "diagonal.qg"
+    game.write_text(DIAGONAL)
+    code, out, err = run(capsys, [command, str(game)])
+    assert code == 1 and out == ""
+    assert err.startswith("qualred: the maximal elements are not a finite union of boxes")
+    assert len(err.splitlines()) == 1
+
+
 def test_fuzz_csv_row_count(capsys):
     code, out, err = run(
         capsys,

@@ -36,7 +36,7 @@ from test_cell_scan import random_game_text
 I = IntervalSet.interval
 P = IntervalSet.point
 
-CONTINUUM_FIXTURES = ["fx1.qg", "fx4.qg", "fx5-derived.qg", "fx5-as-printed.qg"]
+CONTINUUM_FIXTURES = ["fx1.qg", "fx4.qg", "fx5-derived.qg", "fx5-as-printed.qg", "fx6-cross.qg"]
 
 
 def assert_tabulates(game, step):

@@ -1,19 +1,10 @@
-"""Game data model: evaluation, utility derivation, box arithmetic."""
+"""Game data model: evaluation and utility derivation."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from qualred.games import (
-    GameError,
-    box_is_empty,
-    box_pick_point,
-    box_subtract,
-    boxes_cover_equal,
-    boxes_subtract,
-    derive_pref_from_utility,
-    eval_value,
-)
+from qualred.games import GameError, derive_pref_from_utility, eval_value
 from qualred.intervals import IntervalSet
 
 I = IntervalSet.interval
@@ -62,30 +53,3 @@ def test_labels_and_carrier_guards(load_game):
     with pytest.raises(GameError):
         continuum.labels(0)
 
-
-def test_box_subtract_splits_along_axes():
-    a = (I(0, 2), I(0, 2))
-    b = (I(0, 1), I(0, 1))
-    frags = box_subtract(a, b)
-    assert all(not box_is_empty(f) for f in frags)
-    # fragments plus overlap tile the original box
-    assert boxes_cover_equal(frags + [b], [a])
-    assert not boxes_subtract([b], [a])
-
-
-def test_boxes_cover_equal_detects_gap():
-    whole = [(I(0, 1), I(0, 1))]
-    missing_corner = [
-        (I(0, 1, True, False), I(0, 1)),
-        (IntervalSet.point(1), I(0, 1, True, False)),
-    ]
-    assert not boxes_cover_equal(whole, missing_corner)
-    assert boxes_cover_equal(
-        whole, missing_corner + [(IntervalSet.point(1), IntervalSet.point(1))]
-    )
-
-
-def test_box_pick_point_lands_inside():
-    box = (I(0, 1, False, False), IntervalSet.point(F(1, 2)))
-    p = box_pick_point(box)
-    assert box[0].contains(p[0]) and p[1] == F(1, 2)

@@ -43,10 +43,12 @@ CASES = [
     ("maximal-fx4.json", ["maximal", "fx4.qg"], 0),
     ("maximal-fx1.txt", ["maximal", "fx1.qg", "--format", "text"], 0),
     ("maximal-fx5-derived-grid-half.json", ["maximal", "fx5-derived-grid-half.qg"], 0),
+    ("maximal-fx6-cross.txt", ["maximal", "fx6-cross.qg", "--format", "text"], 0),
     ("preserve-fxf1.json", ["preserve", "fxf1.qg"], 0),
     ("preserve-fx4.json", ["preserve", "fx4.qg"], 0),
     ("preserve-fx1-singletons.json", ["preserve", "fx1.qg", "--path", "singletons.path"], 6),
     ("preserve-fx5-as-printed.txt", ["preserve", "fx5-as-printed.qg", "--format", "text"], 0),
+    ("preserve-fx6-cross.json", ["preserve", "fx6-cross.qg"], 0),
     ("fuzz-seed42.csv",
      ["fuzz", "--trials", "20", "--seed", "42",
       "--check", "lemma1,lemma2,theorem3,theorem10", "--format", "csv"], 0),
