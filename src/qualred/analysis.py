@@ -1,13 +1,7 @@
 """Checkers: structural hypotheses, elimination safety conditions,
 maximal elements, and preservation of maximal elements under reduction.
-
-Continuum checks are decided exactly on a finite set of order cells.
-Every constant appearing in carriers, cells, clips or values splits the
-line into constants and open gaps. A check compares coordinates only with
-each other and with those constants, so its verdict is constant on each
-order cell (which constant or gap each coordinate sits at, plus the weak
-order of coordinates sharing a gap), and one point per cell decides the
-whole space.
+Continuum checks are decided exactly on order cells over the game's cut
+points (see ``games._global_breakpoints``).
 """
 
 from __future__ import annotations
@@ -18,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_
 
-from .games import Game, GameError, _piece_index, eval_value
+from .games import Game, GameError, _global_breakpoints, eval_value
 from .intervals import Boundary, Interval, IntervalSet
 from .engine import (
     Pairing,
@@ -53,18 +47,6 @@ class Verdict:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def _global_breakpoints(game: Game) -> list[Fraction]:
-    values: set[Fraction] = set()
-    for i in range(game.n):
-        values.update(game.carrier(i).endpoints())
-    for corr in game.prefs + (game.comps or ()):
-        if corr.clip is not None:
-            values.update(corr.clip.endpoints())
-        index = _piece_index(game, corr)
-        values.update(index.consts, *index.cuts)
-    return sorted(values)
 
 
 def _order_cells(game: Game, players: list[int], points: list[Fraction]):
@@ -368,32 +350,17 @@ def check_condition_C(game: Game, h: Pairing) -> Verdict:
     return Verdict(name, "holds")
 
 
-@dataclass
-class DominatorSearch:
-    strategy: object | None
-    definitive: bool
-
-
-def find_undominated_dominator(game: Game, h: Pairing, i: int, x) -> DominatorSearch:
+def find_undominated_dominator(game: Game, h: Pairing, i: int, x):
     """A dominator of x at h that is itself undominated at h, drawn from
-    the player's surviving set. A continuum miss is inconclusive."""
+    the player's surviving set, or None when there is none. The regions
+    are exact, so a miss is definitive on continuum games too."""
     if not all(h[j] for j in range(game.n) if j != i):
         raise GameError("precondition unmet: an opponent factor is empty")
     d = dominator_set(game, h, i, x).strategies
     if not d:
         raise GameError("precondition unmet: the strategy is not dominated")
-    if game.is_finite:
-        dom = _finite_rows(game, i).dominators(h)
-        for y in game.labels(i):
-            if y in d and y in h[i] and not dom[y]:
-                return DominatorSearch(y, True)
-        return DominatorSearch(None, True)
-    domain = game.carrier(i)
-    dominated = _region_where(game, h, i, domain=domain)
-    pool = d.intersect(h[i]).difference(dominated)
-    if not pool.is_empty:
-        return DominatorSearch(pool.pick(), True)
-    return DominatorSearch(None, False)
+    pool = (d & h[i]) - _region_where(game, h, i, domain=full_pairing(game)[i])
+    return factor_pick(game, i, pool) if pool else None
 
 
 @dataclass
@@ -447,7 +414,7 @@ def _continuum_regions(game: Game, h: Pairing):
     cells, cut at h's endpoints too, decides both. A union of boxes holds
     each product cell (a constant or open gap on every axis) wholly or not
     at all; a region that splits one, like x1 >= x2, raises GameError."""
-    points = sorted(set(_global_breakpoints(game)).union(*(f.endpoints() for f in h)))
+    points = _global_breakpoints(game, *h)
     # segment number of each value met, as in _PieceIndex.segment; none is
     # 0, as every coordinate lies at or above the first point
     segment = {t: 2 * k + 1 for k, t in enumerate(points)}

@@ -30,6 +30,7 @@ from .games import (
     Piece,
     PiecewiseMap,
     UtilityTable,
+    _global_breakpoints,
     _piece_index,
 )
 from .intervals import IntervalSet
@@ -238,29 +239,6 @@ def _condition_holds(
     return bool(d)
 
 
-def _breakpoints(
-    game: Game, h: Pairing, i: int, member: Factor | None
-) -> set[Fraction]:
-    """The rationals that player i's dominance condition at h compares x with."""
-    values: set[Fraction] = set() if member is None else set(member.endpoints())
-    corr = game.prefs[i]
-    if corr.clip is not None:
-        values.update(corr.clip.endpoints())
-    values.update(_piece_index(game, corr).cuts[i])
-    for piece in corr.pieces:
-        overlaps = _overlaps(piece, h, i)
-        if overlaps is None or isinstance(piece.value, EmptyValue):
-            continue
-        for expr in (piece.value.lo, piece.value.hi):
-            if isinstance(expr, Const):
-                values.add(expr.value)
-            elif expr.player != i + 1:
-                o = overlaps[expr.player - 1]
-                values.add(o.sup()[0])
-                values.add(o.inf()[0])
-    return values
-
-
 def _region_where(
     game: Game,
     h: Pairing,
@@ -276,7 +254,7 @@ def _region_where(
     An empty opponent factor yields the empty region.
     """
     if not all(h[j] for j in range(game.n) if j != i):
-        return frozenset() if isinstance(domain, frozenset) else IntervalSet.empty()
+        return domain - domain
     if isinstance(domain, frozenset):
         rows = _finite_rows(game, i)
         dom = rows.dominators(h)
@@ -286,10 +264,11 @@ def _region_where(
             for x in domain
             if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
         )
-    # The condition is constant at each breakpoint and between them: every
-    # comparison pits x against a fixed rational.
+    # The condition is constant at each cut point and between them (see
+    # _global_breakpoints): every comparison pits x against one of them.
+    sets = h if member is None else (*h, member)
     return domain.select(
-        _breakpoints(game, h, i, member),
+        _global_breakpoints(game, *sets),
         lambda t: _condition_holds(game, h, i, t, member, exclude_self),
     )
 

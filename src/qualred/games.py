@@ -234,6 +234,25 @@ def _piece_index(game: Game, corr: PiecewiseMap) -> _PieceIndex:
     return corr._index
 
 
+def _global_breakpoints(game: Game, *sets: IntervalSet) -> list[Fraction]:
+    """The sorted rationals a continuum decision can change at: the ends of
+    the carriers, piece cells and clips, constant value ends, and the ends
+    of the given sets. A check or a dominance condition compares a
+    coordinate only with other coordinates and with these: a dominator
+    set's bound is a constant, the coordinate, or the sup or inf of a piece
+    factor cut to a pairing factor, which is an end of one of the two. So
+    its verdict is constant on each order cell (which constant or open gap
+    each coordinate sits at, plus the weak order of coordinates sharing a
+    gap), and one point per cell decides the whole space."""
+    corrs = game.prefs + (game.comps or ())
+    ends = (*sets, *map(game.carrier, range(game.n)), *(c.clip for c in corrs if c.clip))
+    values = {e for s in ends for e in s.endpoints()}
+    for corr in corrs:
+        index = _piece_index(game, corr)
+        values.update(index.consts, *index.cuts)
+    return sorted(values)
+
+
 def eval_value(game: Game, corr: CorrMap, profile: Profile):
     """Value of a correspondence at a profile.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .games import Game, GameError
-from .intervals import IntervalSet, IntervalSetParseError, parse_interval_set
+from .intervals import IntervalSetParseError, parse_interval_set
 from .engine import (
     Factor,
     Operator,
@@ -68,20 +68,15 @@ class PathScriptError(GameError):
         self.line = line
 
 
-def _empty_like(f: Factor) -> Factor:
-    return IntervalSet.empty() if isinstance(f, IntervalSet) else frozenset()
-
-
 def _step_region(
     game: Game, pre: Pairing, post: Pairing, i: int, removed: Factor, op: Operator,
     audit: bool = False,
 ) -> Factor:
     """Part of a removal set meeting the operator's path condition, or with
     audit on, the literal operator condition on the produced pairing."""
-    if op is Operator.ARROW:
-        return _region_where(game, pre, i, domain=removed)
-    if op is Operator.TAIL:
-        return _region_where(game, post, i, domain=removed)
+    if op is not Operator.DOUBLE:
+        at = pre if op is Operator.ARROW and not audit else post
+        return _region_where(game, at, i, domain=removed)
     if audit:
         return _region_where(game, post, i, domain=removed, member=post[i])
     return _region_where(
@@ -192,7 +187,7 @@ def run_path(
         h = stages[-1]
         post, audit, valid = path_step(game, h, op, removals, validate=validate)
         removed_row = tuple(
-            removals.get(i, _empty_like(h[i])) for i in range(game.n)
+            removals.get(i, h[i] - h[i]) for i in range(game.n)
         )
         stages.append(post)
         eliminated.append(removed_row)

@@ -115,9 +115,9 @@ def test_conditions_hold_vacuously_at_fixpoint(load_game):
 def test_find_undominated_dominator(load_game):
     g = load_game("fx1.qg")
     h = full_pairing(g)
-    r = find_undominated_dominator(g, h, 0, F(1, 2))
-    assert r.strategy == F(1)
-    assert r.definitive
+    assert find_undominated_dominator(g, h, 0, F(1, 2)) == F(1)
+    # without 1, every surviving dominator is itself dominated: a definitive miss
+    assert find_undominated_dominator(g, (I(0, 1, True, False), h[1]), 0, F(1, 2)) is None
     with pytest.raises(GameError):
         find_undominated_dominator(g, h, 0, F(1))  # not dominated
 
@@ -125,9 +125,7 @@ def test_find_undominated_dominator(load_game):
 def test_find_undominated_dominator_finite(load_game):
     g = load_game("fxf1.qg")
     h = full_pairing(g)
-    r = find_undominated_dominator(g, h, 0, "b")
-    assert r.strategy == "a"
-    assert r.definitive
+    assert find_undominated_dominator(g, h, 0, "b") == "a"
 
 
 def test_preservation_equal_at_true_limit(load_game):

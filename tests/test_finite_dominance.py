@@ -80,7 +80,7 @@ def assert_kernel_matches(game, h):
             assert dominator_set(game, h, i, x).strategies == want, (h, i, x)
             if want and _opponents_alive(game, h, i):
                 found = find_undominated_dominator(game, h, i, x)
-                assert found.strategy == ref_undominated_dominator(game, h, i, x)
+                assert found == ref_undominated_dominator(game, h, i, x)
         for op in Operator:
             assert eliminated_region(game, h, i, op) == ref_region(game, h, i, op)
     for which, check in (("C", check_condition_C), ("D", check_condition_D)):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qualred.dsl import parse_game
 from qualred.engine import Operator, full_pairing, restrict
 from qualred.intervals import IntervalSet
 from qualred.reduction import (
@@ -151,3 +152,26 @@ def test_grid_traces(load_game):
     t5 = star_reduce(g5, Operator.DOUBLE)
     assert t5.final == (frozenset({"1/2", "1"}), frozenset({"1/2", "1"}))
     assert is_maximal(g5, t5.final, Operator.DOUBLE)
+
+
+ARROW_AUDIT = """game "arrow-audit"
+space 1 = finite {a, b}
+space 2 = finite {c}
+pref 1 table:
+  at a,c: {b}
+  at b,c: {}
+pref 2 table:
+  at a,c: {c}
+  at b,c: {c}
+"""
+
+
+@pytest.mark.parametrize("op", [Operator.ARROW, Operator.TAIL])
+def test_audit_reads_the_produced_pairing(op):
+    # one fast step removes a and empties player 2; on the produced pairing
+    # a has no opponent left to be beaten against, so the audit fails under
+    # both operators, as the step's condition is the same
+    g = parse_game(ARROW_AUDIT)
+    t = star_reduce(g, op)
+    assert t.eliminated[0] == (frozenset({"a"}), frozenset({"c"}))
+    assert t.fast_condition_audit == (False,)
