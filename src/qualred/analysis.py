@@ -132,117 +132,80 @@ def _with_coord(profile, i: int, y):
     return profile[:i] + (y,) + profile[i + 1 :]
 
 
-def check_property_T_single(game: Game) -> Verdict:
-    """Preferred sets shrink along preference: y above x forces everything
-    above y (closure included) to sit above x as well."""
-    name = "propertyT-single"
+def _check_property_T(game: Game, pair: bool) -> Verdict:
+    """One joint scan over [*range(n), i] per player i: each y in P_i(x)
+    must have a set at x with y inside P_i(x). That set is the closure of
+    P_i for the single check, and Q_i for the pair check, which also needs
+    P_i(x) inside Q_i(x)."""
+    name = "propertyT-pair" if pair else "propertyT-single"
+    corrs = game.comps if pair else game.prefs
+    if corrs is None:
+        return Verdict(name, "not-checkable", note="game has no comparison map")
     for i in range(game.n):
         x = None
         for point in _points(game, [*range(game.n), i]):
             if point[:-1] != x:
                 x = point[:-1]
                 px = eval_value(game, game.prefs[i], x)
+                if pair and not px <= eval_value(game, corrs[i], x):
+                    return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
             y = point[-1]
             if y in px:
-                py = eval_value(game, game.prefs[i], _with_coord(x, i, y))
-                if not _closure(py) <= px:
+                up = eval_value(game, corrs[i], _with_coord(x, i, y))
+                if not (up if pair else _closure(up)) <= px:
                     return Verdict(name, "fails", witness=(i + 1, x, y))
     return Verdict(name, "holds")
+
+
+def check_property_T_single(game: Game) -> Verdict:
+    """Preferred sets shrink along preference: y above x forces everything
+    above y (closure included) to sit above x as well."""
+    return _check_property_T(game, pair=False)
 
 
 def check_property_T_pair(game: Game) -> Verdict:
     """The comparison map must extend preference and collapse into it one
     step up: y above x makes everything comparable to y sit above x."""
-    name = "propertyT-pair"
-    if game.comps is None:
+    return _check_property_T(game, pair=True)
+
+
+def _check_pointwise(game: Game, name: str, corrs, bad) -> Verdict:
+    """Scan every profile x, or one per order cell of a continuum game, for
+    each player i; fail at the first where bad(i, x, v) holds for
+    v = corrs_i(x). corrs is None when the game has no comparison map."""
+    if corrs is None:
         return Verdict(name, "not-checkable", note="game has no comparison map")
     for i in range(game.n):
-        x = None
-        for point in _points(game, [*range(game.n), i]):
-            if point[:-1] != x:
-                x = point[:-1]
-                px = eval_value(game, game.prefs[i], x)
-                if not px <= eval_value(game, game.comps[i], x):
-                    return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
-            y = point[-1]
-            if y in px:
-                qy = eval_value(game, game.comps[i], _with_coord(x, i, y))
-                if not qy <= px:
-                    return Verdict(name, "fails", witness=(i + 1, x, y))
-    return Verdict(name, "holds")
-
-
-def _check_pointwise(game: Game, name: str, pred) -> Verdict:
-    """Run a per-profile predicate over every profile, or over one profile
-    per order cell of a continuum game.
-
-    pred(i, x) returns None or a witness tuple.
-    """
-    for i in range(game.n):
         for x in _points(game, list(range(game.n))):
-            bad = pred(i, x)
-            if bad is not None:
-                return Verdict(name, "fails", witness=bad)
+            if bad(i, x, eval_value(game, corrs[i], x)):
+                return Verdict(name, "fails", witness=(i + 1, x))
     return Verdict(name, "holds")
 
 
 def check_irreflexive(game: Game) -> Verdict:
-    def pred(i, x):
-        v = eval_value(game, game.prefs[i], x)
-        return (i + 1, x) if x[i] in v else None
-
-    return _check_pointwise(game, "irreflexive", pred)
+    return _check_pointwise(game, "irreflexive", game.prefs, lambda i, x, v: x[i] in v)
 
 
 def check_strong_irreflexive(game: Game) -> Verdict:
     """No strategy sits in the closure of what it is beaten by."""
-
-    def pred(i, x):
-        v = _closure(eval_value(game, game.prefs[i], x))
-        return (i + 1, x) if x[i] in v else None
-
-    return _check_pointwise(game, "strong-irreflexive", pred)
+    return _check_pointwise(
+        game, "strong-irreflexive", game.prefs, lambda i, x, v: x[i] in _closure(v)
+    )
 
 
 def check_q_reflexive(game: Game) -> Verdict:
-    name = "q-reflexive"
-    if game.comps is None:
-        return Verdict(name, "not-checkable", note="game has no comparison map")
-
-    def pred(i, x):
-        v = eval_value(game, game.comps[i], x)
-        return None if x[i] in v else (i + 1, x)
-
-    return _check_pointwise(game, name, pred)
+    return _check_pointwise(game, "q-reflexive", game.comps, lambda i, x, v: x[i] not in v)
 
 
 def check_q_closed_convex(game: Game) -> Verdict:
-    name = "q-closed-convex"
-    if game.comps is None:
-        return Verdict(name, "not-checkable", note="game has no comparison map")
-    if game.is_finite:
-        # label order stands in for the line: values must be contiguous runs
-        def pred(i, x):
-            v = eval_value(game, game.comps[i], x)
-            if not v:
-                return None
-            order = {s: k for k, s in enumerate(game.labels(i))}
-            idx = sorted(order[s] for s in v)
-            if idx[-1] - idx[0] + 1 != len(idx):
-                return (i + 1, x)
-            return None
+    def bad(i, x, v) -> bool:
+        if game.is_finite:
+            # label order stands in for the line: values must be contiguous runs
+            idx = sorted(map(game.labels(i).index, v))
+            return bool(idx) and idx[-1] - idx[0] + 1 != len(idx)
+        return len(v.parts) > 1 or v.closure() != v
 
-        return _check_pointwise(game, name, pred)
-
-    def pred(i, x):
-        v = eval_value(game, game.comps[i], x)
-        if v.is_empty:
-            return None
-        if len(v.parts) > 1 or v.closure() != v:
-            return (i + 1, x)
-        return None
-
-    return _check_pointwise(game, name, pred)
+    return _check_pointwise(game, "q-closed-convex", game.comps, bad)
 
 
 def check_open_lower_sections(game: Game) -> Verdict:
@@ -510,11 +473,7 @@ def check_preservation(game: Game, final: Pairing) -> PreservationReport:
     else:
         original, reduced, witness = _continuum_regions(game, final)
     equal = witness is None
-    hypotheses = {
-        "irreflexive": check_irreflexive(game),
-        "propertyT-pair": check_property_T_pair(game),
-        "z-star": check_z_star(game),
-    }
+    hypotheses = check_hypotheses(game, ["irreflexive", "propertyT-pair", "z-star"])
     label = None
     if not equal:
         if all(v.status == "holds" for v in hypotheses.values()):

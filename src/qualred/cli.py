@@ -334,7 +334,8 @@ def cmd_oracle(args) -> Report:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --max-iters."""
+    """argparse type of the count options: --max-iters, --players, --trials,
+    --oracle-bound and --bound."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -383,20 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(subs, "fuzz", cmd_fuzz, "randomized cross-validation over generated games",
                     game=False, formats=("json", "csv", "text"))
-    p.add_argument("--players", type=int, default=2)
+    p.add_argument("--players", type=positive_int, default=2)
     p.add_argument("--sizes", default="3,3")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", default=None, help="comma-separated check names or aliases")
     p.add_argument("--mode", choices=("utility", "raw"), default="utility")
     p.add_argument("--irreflexive", action="store_true")
     p.add_argument("--property-t-pair", action="store_true")
     p.add_argument("--with-q-reflexive", action="store_true")
-    p.add_argument("--oracle-bound", type=int, default=16)
+    p.add_argument("--oracle-bound", type=positive_int, default=16)
 
     p = _subcommand(subs, "oracle", cmd_oracle,
                     "enumerate every maximal reduction of a finite game", op=True)
-    p.add_argument("--bound", type=int, default=16,
+    p.add_argument("--bound", type=positive_int, default=16,
                    help="largest product of strategy counts accepted")
 
     return parser

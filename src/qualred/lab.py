@@ -121,6 +121,8 @@ def _requested_checks(config: GeneratorConfig) -> list[str]:
 def generate_game(config: GeneratorConfig) -> Game:
     """Deterministic in the seed; requested constraints are re-verified
     with the analysis checkers, regenerating up to the retry bound."""
+    if config.players < 1:
+        raise GameError("a game needs at least one player")
     if config.players != len(config.sizes):
         raise GameError("sizes must list one entry per player")
     if any(s < 1 for s in config.sizes):
@@ -346,13 +348,105 @@ def enumerate_maximal_reductions(
     )
 
 
-CHECK_NAMES = (
-    "limit-containment",
-    "c-implies-d",
-    "confluence",
-    "preservation",
-    "stagewise-agreement",
-)
+def _stage_at(trace: ReductionTrace, t: int) -> Pairing:
+    return trace.stages[t] if t < len(trace.stages) else trace.stages[-1]
+
+
+@dataclass
+class Evidence:
+    """What the fuzz checks read about one game: its TAIL and DOUBLE
+    reductions, and its DOUBLE enumeration when confluence is asked for
+    and the game is within the oracle bound (else None)."""
+
+    traces: dict[Operator, ReductionTrace]
+    enum: EnumerationResult | None = None
+
+
+def _evidence(game: Game, checks, bound: int) -> Evidence:
+    evidence = Evidence({op: star_reduce(game, op) for op in (Operator.TAIL, Operator.DOUBLE)})
+    if "confluence" in checks:
+        try:
+            evidence.enum = enumerate_maximal_reductions(
+                game, Operator.DOUBLE, bound, track_condition_D=True
+            )
+        except BoundExceeded:
+            pass
+    return evidence
+
+
+def _check_limit_containment(game: Game, evidence: Evidence) -> str | None:
+    tail = evidence.traces[Operator.TAIL].final
+    double = evidence.traces[Operator.DOUBLE].final
+    if not all(tail + double):
+        return None
+    for i in range(game.n):
+        if not tail[i] <= double[i]:
+            extra = ",".join(sorted(tail[i] - double[i]))
+            return f"player {i + 1}: tail limit keeps {{{extra}}} outside the double limit"
+    return None
+
+
+def _check_c_implies_d(game: Game, evidence: Evidence) -> str | None:
+    for op, trace in evidence.traces.items():
+        for t, h in enumerate(trace.stages):
+            c = check_condition_C(game, h)
+            if c.status != "holds":
+                continue
+            d = check_condition_D(game, h)
+            if d.status != "holds":
+                return (
+                    f"op {op.value} stage {t}: condition C holds but D fails "
+                    f"at {d.witness}"
+                )
+    return None
+
+
+def _check_stagewise_agreement(game: Game, evidence: Evidence) -> str | None:
+    ta = evidence.traces[Operator.TAIL]
+    td = evidence.traces[Operator.DOUBLE]
+    for t in range(max(len(ta.stages), len(td.stages))):
+        a = _stage_at(ta, t)
+        b = _stage_at(td, t)
+        if a != b:
+            return f"stage {t}: tail and double traces diverge with the D premise intact"
+        if check_condition_D(game, a).status != "holds":
+            break
+    return None
+
+
+def _check_confluence(game: Game, evidence: Evidence) -> str | None:
+    enum = evidence.enum
+    if enum is None or not enum.condition_D_everywhere:
+        return None
+    if len(enum.pairings) != 1:
+        return (
+            f"condition D held everywhere yet {len(enum.pairings)} "
+            "maximal reductions are reachable"
+        )
+    if enum.pairings[0] != evidence.traces[Operator.DOUBLE].final:
+        return "the unique enumerated limit differs from the fast limit"
+    return None
+
+
+def _check_preservation(game: Game, evidence: Evidence) -> str | None:
+    report = check_preservation(game, evidence.traces[Operator.DOUBLE].final)
+    if report.label == "THEOREM-VIOLATION":
+        return (
+            "maximal elements changed under reduction although every "
+            f"hypothesis held; witness {report.witness}"
+        )
+    return None
+
+
+# fuzz check name -> fn(game, evidence), a detail string on a violation
+CHECKS = {
+    "limit-containment": _check_limit_containment,
+    "c-implies-d": _check_c_implies_d,
+    "confluence": _check_confluence,
+    "preservation": _check_preservation,
+    "stagewise-agreement": _check_stagewise_agreement,
+}
+CHECK_NAMES = tuple(CHECKS)
 
 # opaque ids accepted on the command line for the same checks
 CHECK_ALIASES = {
@@ -366,21 +460,18 @@ CHECK_ALIASES = {
 
 def resolve_check_name(name: str) -> str:
     canon = CHECK_ALIASES.get(name, name)
-    if canon not in CHECK_NAMES:
+    if canon not in CHECKS:
         raise GameError(f"unknown fuzz check {name!r}")
     return canon
 
 
 @dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(GeneratorConfig):
+    """A GeneratorConfig extended with the fuzz run: its seed is the base
+    of each trial's seed, and the confluence check enumerates only games
+    of at most oracle_bound profiles."""
+
     trials: int = 100
-    seed: int = 0
-    players: int = 2
-    sizes: tuple[int, ...] = (3, 3)
-    mode: str = MODE_UTILITY
-    irreflexive: bool = False
-    property_t_pair: bool = False
-    with_q_reflexive: bool = False
     checks: tuple[str, ...] = CHECK_NAMES
     oracle_bound: int = 16
 
@@ -483,100 +574,6 @@ class FuzzReport:
         return buf.getvalue()
 
 
-def _stage_at(trace: ReductionTrace, t: int) -> Pairing:
-    return trace.stages[t] if t < len(trace.stages) else trace.stages[-1]
-
-
-def _check_limit_containment(game, traces) -> str | None:
-    tail = traces[Operator.TAIL].final
-    double = traces[Operator.DOUBLE].final
-    if not all(tail + double):
-        return None
-    for i in range(game.n):
-        if not tail[i] <= double[i]:
-            extra = ",".join(sorted(tail[i] - double[i]))
-            return f"player {i + 1}: tail limit keeps {{{extra}}} outside the double limit"
-    return None
-
-
-def _check_c_implies_d(game, traces) -> str | None:
-    for op, trace in traces.items():
-        for t, h in enumerate(trace.stages):
-            c = check_condition_C(game, h)
-            if c.status != "holds":
-                continue
-            d = check_condition_D(game, h)
-            if d.status != "holds":
-                return (
-                    f"op {op.value} stage {t}: condition C holds but D fails "
-                    f"at {d.witness}"
-                )
-    return None
-
-
-def _check_stagewise_agreement(game, traces) -> str | None:
-    ta = traces[Operator.TAIL]
-    td = traces[Operator.DOUBLE]
-    for t in range(max(len(ta.stages), len(td.stages))):
-        a = _stage_at(ta, t)
-        b = _stage_at(td, t)
-        if a != b:
-            return f"stage {t}: tail and double traces diverge with the D premise intact"
-        if check_condition_D(game, a).status != "holds":
-            break
-    return None
-
-
-def _check_confluence(game, traces, bound: int):
-    try:
-        enum = enumerate_maximal_reductions(
-            game, Operator.DOUBLE, bound, track_condition_D=True
-        )
-    except BoundExceeded:
-        return None, None
-    detail = None
-    if enum.condition_D_everywhere:
-        fast_final = traces[Operator.DOUBLE].final
-        if len(enum.pairings) != 1:
-            detail = (
-                f"condition D held everywhere yet {len(enum.pairings)} "
-                "maximal reductions are reachable"
-            )
-        elif enum.pairings[0] != fast_final:
-            detail = "the unique enumerated limit differs from the fast limit"
-    return enum, detail
-
-
-def _check_preservation(game, traces) -> str | None:
-    report = check_preservation(game, traces[Operator.DOUBLE].final)
-    if report.label == "THEOREM-VIOLATION":
-        return (
-            "maximal elements changed under reduction although every "
-            f"hypothesis held; witness {report.witness}"
-        )
-    return None
-
-
-def _violation_detail(game, check: str, traces, bound: int) -> str | None:
-    if check == "limit-containment":
-        return _check_limit_containment(game, traces)
-    if check == "c-implies-d":
-        return _check_c_implies_d(game, traces)
-    if check == "stagewise-agreement":
-        return _check_stagewise_agreement(game, traces)
-    if check == "confluence":
-        _, detail = _check_confluence(game, traces, bound)
-        return detail
-    if check == "preservation":
-        return _check_preservation(game, traces)
-    raise GameError(f"unknown fuzz check {check!r}")
-
-
-def _traces(game: Game) -> dict[Operator, ReductionTrace]:
-    """The TAIL and DOUBLE reductions every fuzz check reads."""
-    return {op: star_reduce(game, op) for op in (Operator.TAIL, Operator.DOUBLE)}
-
-
 def _shrink(game: Game, check: str, bound: int) -> Game:
     """Greedy single-strategy removals preserving the violation."""
     current = game
@@ -593,8 +590,7 @@ def _shrink(game: Game, check: str, bound: int) -> Game:
                     for j in range(current.n)
                 )
                 candidate = restrict(current, h)
-                detail = _violation_detail(candidate, check, _traces(candidate), bound)
-                if detail is not None:
+                if CHECKS[check](candidate, _evidence(candidate, (check,), bound)) is not None:
                     current = candidate
                     improved = True
                     break
@@ -604,37 +600,24 @@ def _shrink(game: Game, check: str, bound: int) -> Game:
 
 
 def fuzz(config: FuzzConfig) -> FuzzReport:
+    unknown = [check for check in config.checks if check not in CHECKS]
+    if unknown:
+        raise GameError(f"unknown fuzz check {unknown[0]!r}")
     records: list[TrialRecord] = []
     findings: list[Finding] = []
     for t in range(config.trials):
         trial_seed = config.seed * 1_000_003 + t
-        game = generate_game(
-            GeneratorConfig(
-                players=config.players,
-                sizes=config.sizes,
-                seed=trial_seed,
-                mode=config.mode,
-                irreflexive=config.irreflexive,
-                property_t_pair=config.property_t_pair,
-                with_q_reflexive=config.with_q_reflexive,
-            )
-        )
-        traces = _traces(game)
+        game = generate_game(replace(config, seed=trial_seed))
+        evidence = _evidence(game, config.checks, config.oracle_bound)
         limits = {
             op.value: json.dumps(
                 render_pairing(game, trace.final), separators=(",", ":")
             )
-            for op, trace in sorted(traces.items(), key=lambda kv: kv[0].value)
+            for op, trace in sorted(evidence.traces.items(), key=lambda kv: kv[0].value)
         }
-        order_dependent = None
         violations: list[str] = []
         for check in config.checks:
-            if check == "confluence":
-                enum, detail = _check_confluence(game, traces, config.oracle_bound)
-                if enum is not None:
-                    order_dependent = enum.order_dependent
-            else:
-                detail = _violation_detail(game, check, traces, config.oracle_bound)
+            detail = CHECKS[check](game, evidence)
             if detail is not None:
                 violations.append(check)
                 shrunk = _shrink(game, check, config.oracle_bound)
@@ -650,13 +633,14 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
                         ),
                     )
                 )
+        enum = evidence.enum
         records.append(
             TrialRecord(
                 trial=t,
                 seed=trial_seed,
                 game_name=game.name,
                 limits=limits,
-                order_dependent=order_dependent,
+                order_dependent=None if enum is None else enum.order_dependent,
                 violations=violations,
             )
         )

@@ -19,6 +19,7 @@ from qualred.analysis import (
     find_undominated_dominator,
     maximal_elements,
 )
+from qualred.dsl import parse_game
 from qualred.engine import Operator, full_pairing
 from qualred.games import GameError
 from qualred.intervals import IntervalSet
@@ -69,6 +70,20 @@ def test_hypothesis_checks_fx4(load_game):
         assert hyp[name].ok, hyp[name]
     assert hyp["strong-irreflexive"].status == "fails"
     assert hyp["open-lower-sections"].status == "fails"
+
+
+def test_property_T_closes_P_but_not_Q():
+    # everything above y is (y, 1): inside (x1, 1), but its closure is not
+    game = parse_game(
+        'game "open-top"\nspace 1 = interval [0,1]\nspace 2 = interval [0,1]\n'
+        "pref 1 piecewise:\n  when x1 in [0,1]: (x1, 1)\n"
+        "pref 2 piecewise:\n  when x2 in [0,1]: empty\n"
+        "comp 1 piecewise:\n  when x1 in [0,1]: (x1, 1)\n"
+        "comp 2 piecewise:\n  when x2 in [0,1]: empty\n"
+    )
+    hyp = check_hypotheses(game, ["propertyT-single", "propertyT-pair"])
+    assert hyp["propertyT-single"].witness == (1, (0, 0), F(1, 4))
+    assert hyp["propertyT-pair"].ok
 
 
 def test_open_lower_sections_detects_jump(load_game):

@@ -244,12 +244,16 @@ def test_csv_limited_to_fuzz(capsys):
         ["check", "fxf1.qg", "--max-iters", "1"],
         ["reduce", "fx1.qg", "--max-iters", "0"],
         ["preserve", "fx1.qg", "--max-iters", "0"],
+        ["fuzz", "--trials", "-2"],
+        ["fuzz", "--trials", "1", "--oracle-bound", "-1"],
+        ["fuzz", "--trials", "1", "--players", "0"],
+        ["oracle", "fxf1.qg", "--bound", "0"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}",
 )
 def test_unread_or_invalid_option_is_a_usage_error(capsys, argv):
     # each subcommand declares only the options it reads, and argparse
-    # refuses an iteration cap below 1
+    # refuses an iteration cap, trial count, player count or bound below 1
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2

@@ -10,6 +10,7 @@ then exits non-zero naming every such case.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -81,6 +82,27 @@ def test_golden_report(name, argv, code, tmp_path, monkeypatch):
     got_code, got = _run(argv, tmp_path / "report")
     assert got_code == code
     assert got == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_fuzz_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    # the in-process cases above run under one hash seed per pytest run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "QUALRED_COLOR"}
+    env.update(PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    for name, argv, code in CASES:
+        if argv[0] != "fuzz":
+            continue
+        report = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "qualred.cli", *argv, "--out", str(report)],
+            cwd=GOLDEN,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert report.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":

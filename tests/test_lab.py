@@ -46,6 +46,14 @@ def test_generator_attaches_reflexive_comparison():
     assert check_hypotheses(g, ["q-reflexive"])["q-reflexive"].ok
 
 
+def test_generator_refuses_zero_players():
+    config = GeneratorConfig(players=0, sizes=())
+    with pytest.raises(GameError, match="at least one player"):
+        generate_game(config)
+    with pytest.raises(GameError, match="at least one player"):
+        fuzz(FuzzConfig(players=0, sizes=(), trials=1))
+
+
 def test_generated_game_round_trips():
     g = generate_game(GeneratorConfig(sizes=(3, 2), seed=19))
     text = serialize_game(g)
