@@ -1,18 +1,19 @@
 """Checkers: structural hypotheses, elimination safety conditions,
 maximal elements, and preservation of maximal elements under reduction.
 Continuum checks are decided exactly on order cells over the game's cut
-points (see ``games._global_breakpoints``).
+points (see ``games._global_breakpoints``), walked in rank space (see
+``games._Ranks``).
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_
+from types import SimpleNamespace
 
-from .games import Game, GameError, _global_breakpoints, eval_value
+from .games import Game, GameError, _global_breakpoints, _Ranks, _ranks, eval_value
 from .intervals import Boundary, Interval, IntervalSet
 from .engine import (
     Pairing,
@@ -50,82 +51,42 @@ class Verdict:
 
 
 def _order_cells(game: Game, players: list[int], points: list[Fraction]):
-    """One point per order cell of a continuum game, in lexicographic order,
-    for sorted points that hold the game's constants.
-
-    Coordinate k ranges over the carrier of player players[k]. A cell fixes
-    which constant, or which open gap between consecutive constants, each
-    coordinate sits at, plus the weak order of the coordinates that share
-    a gap. Every check compares coordinates only with each other and with
-    the game's constants, so its truth is constant on each cell
-    (quantifier elimination for dense linear orders).
+    """One point per order cell (see ``games._global_breakpoints``) of a
+    continuum game, in lexicographic order, for sorted points that hold
+    the game's constants; coordinate k ranges over the carrier of player
+    players[k].
 
     Gap (a, b) offers the grid points a + (b - a) * k / (n + 2) for
     k = 1..n+1, enough for n + 1 coordinates. Yielded are the grid points
     least in their cell: those whose positions in each gap are 1..R. The
     first grid point of a lexicographic scan that fails a check is least
     in its cell, so a scan of these points meets the same first witness as
-    a scan of the whole grid.
+    a scan of the whole grid. The scans walk these cells in rank space
+    (``games._Ranks.cells``); this maps that walk back to rationals.
     """
-    slots = game.n + 1
-
-    def options(carrier: IntervalSet) -> list[tuple[Fraction, int, int]]:
-        # (value, gap or -1 at a constant, position in the gap), in order;
-        # the carrier's endpoints are among the points
-        out = []
-        for a, b, _ in carrier.split(points):
-            if a == b:
-                out.append((a, -1, 0))
-            else:
-                g = bisect_left(points, a)
-                out.extend(
-                    (a + (b - a) * Fraction(k, slots + 1), g, k)
-                    for k in range(1, slots + 1)
-                )
-        return out
-
-    axes = [options(game.carrier(j)) for j in players]
-    # per gap: the coordinates at each position, and the highest one used
-    count = [[0] * (slots + 1) for _ in points]
-    top = [0] * len(points)
-    point: list[Fraction] = []
-
-    def walk(t: int, missing: int):
-        # missing: unused positions below the highest one used, summed over
-        # the gaps; only the coordinates after this one can fill them
-        if t == len(axes):
-            if not missing:
-                yield tuple(point)
-            return
-        for value, g, k in axes[t]:
-            now = missing
-            if g >= 0:
-                high = top[g]
-                if not count[g][k]:  # fills a hole, or opens those up to k
-                    now += k - high - 1 if k > high else -1
-                count[g][k] += 1
-                top[g] = max(high, k)
-            if now < len(axes) - t:
-                point.append(value)
-                yield from walk(t + 1, now)
-                point.pop()
-            if g >= 0:
-                count[g][k] -= 1
-                top[g] = high
-
-    return walk(0, 0)
+    ranks = _ranks(game)
+    if points != ranks.points:
+        ranks = _Ranks(game, points)
+    return map(ranks.profile, ranks.cells(players))
 
 
-def _points(game: Game, players: list[int]):
-    """Every profile over the players' label axes of a finite game, or one
-    point per order cell of a continuum game, in lexicographic order."""
-    if game.is_finite:
-        return itertools.product(*(game.labels(j) for j in players))
-    return _order_cells(game, players, _global_breakpoints(game))
+def _scan(game: Game):
+    """What the scans read: the ``games._Ranks`` of a continuum game, or a
+    stand-in with its attributes over the label profiles of a finite game."""
+    if not game.is_finite:
+        return _ranks(game)
+    return SimpleNamespace(
+        prefs=game.prefs,
+        comps=game.comps,
+        cells=lambda players: itertools.product(*map(game.labels, players)),
+        value=lambda corr, x: eval_value(game, corr, x),
+        coord=lambda t: t,
+        profile=lambda x: x,
+    )
 
 
 def _closure(v):
-    return v.closure() if isinstance(v, IntervalSet) else v
+    return v if isinstance(v, frozenset) else v.closure()
 
 
 def _with_coord(profile, i: int, y):
@@ -138,22 +99,23 @@ def _check_property_T(game: Game, pair: bool) -> Verdict:
     P_i for the single check, and Q_i for the pair check, which also needs
     P_i(x) inside Q_i(x)."""
     name = "propertyT-pair" if pair else "propertyT-single"
-    corrs = game.comps if pair else game.prefs
-    if corrs is None:
+    if (game.comps if pair else game.prefs) is None:
         return Verdict(name, "not-checkable", note="game has no comparison map")
+    scan = _scan(game)
+    corrs = scan.comps if pair else scan.prefs
     for i in range(game.n):
         x = None
-        for point in _points(game, [*range(game.n), i]):
+        for point in scan.cells([*range(game.n), i]):
             if point[:-1] != x:
                 x = point[:-1]
-                px = eval_value(game, game.prefs[i], x)
-                if pair and not px <= eval_value(game, corrs[i], x):
-                    return Verdict(name, "fails", witness=(i + 1, x, "P-not-in-Q"))
+                px = scan.value(scan.prefs[i], x)
+                if pair and not px <= scan.value(corrs[i], x):
+                    return Verdict(name, "fails", witness=(i + 1, scan.profile(x), "P-not-in-Q"))
             y = point[-1]
             if y in px:
-                up = eval_value(game, corrs[i], _with_coord(x, i, y))
+                up = scan.value(corrs[i], _with_coord(x, i, y))
                 if not (up if pair else _closure(up)) <= px:
-                    return Verdict(name, "fails", witness=(i + 1, x, y))
+                    return Verdict(name, "fails", witness=(i + 1, scan.profile(x), scan.coord(y)))
     return Verdict(name, "holds")
 
 
@@ -169,32 +131,34 @@ def check_property_T_pair(game: Game) -> Verdict:
     return _check_property_T(game, pair=True)
 
 
-def _check_pointwise(game: Game, name: str, corrs, bad) -> Verdict:
+def _check_pointwise(game: Game, name: str, comps: bool, bad) -> Verdict:
     """Scan every profile x, or one per order cell of a continuum game, for
-    each player i; fail at the first where bad(i, x, v) holds for
-    v = corrs_i(x). corrs is None when the game has no comparison map."""
-    if corrs is None:
+    each player i; fail at the first where bad(i, x, v) holds for v the
+    value at x of P_i, or of Q_i when comps."""
+    if comps and game.comps is None:
         return Verdict(name, "not-checkable", note="game has no comparison map")
+    scan = _scan(game)
+    corrs = scan.comps if comps else scan.prefs
     for i in range(game.n):
-        for x in _points(game, list(range(game.n))):
-            if bad(i, x, eval_value(game, corrs[i], x)):
-                return Verdict(name, "fails", witness=(i + 1, x))
+        for x in scan.cells(list(range(game.n))):
+            if bad(i, x, scan.value(corrs[i], x)):
+                return Verdict(name, "fails", witness=(i + 1, scan.profile(x)))
     return Verdict(name, "holds")
 
 
 def check_irreflexive(game: Game) -> Verdict:
-    return _check_pointwise(game, "irreflexive", game.prefs, lambda i, x, v: x[i] in v)
+    return _check_pointwise(game, "irreflexive", False, lambda i, x, v: x[i] in v)
 
 
 def check_strong_irreflexive(game: Game) -> Verdict:
     """No strategy sits in the closure of what it is beaten by."""
     return _check_pointwise(
-        game, "strong-irreflexive", game.prefs, lambda i, x, v: x[i] in _closure(v)
+        game, "strong-irreflexive", False, lambda i, x, v: x[i] in _closure(v)
     )
 
 
 def check_q_reflexive(game: Game) -> Verdict:
-    return _check_pointwise(game, "q-reflexive", game.comps, lambda i, x, v: x[i] not in v)
+    return _check_pointwise(game, "q-reflexive", True, lambda i, x, v: x[i] not in v)
 
 
 def check_q_closed_convex(game: Game) -> Verdict:
@@ -203,9 +167,9 @@ def check_q_closed_convex(game: Game) -> Verdict:
             # label order stands in for the line: values must be contiguous runs
             idx = sorted(map(game.labels(i).index, v))
             return bool(idx) and idx[-1] - idx[0] + 1 != len(idx)
-        return len(v.parts) > 1 or v.closure() != v
+        return len(v) > 1 or v.closure() != v
 
-    return _check_pointwise(game, "q-closed-convex", game.comps, bad)
+    return _check_pointwise(game, "q-closed-convex", True, bad)
 
 
 def check_open_lower_sections(game: Game) -> Verdict:
@@ -214,34 +178,30 @@ def check_open_lower_sections(game: Game) -> Verdict:
     name = "open-lower-sections"
     if game.is_finite:
         return Verdict(name, "holds", note="finite spaces are discrete")
-    base_points = _global_breakpoints(game)
-    carriers = [game.carrier(j) for j in range(game.n)]
-
-    # P_i(x) per (i, x), kept for this call only: the probes revisit profiles
-    values: dict[tuple, IntervalSet] = {}
-
-    def member(i: int, y: Fraction, x) -> bool:
-        if (i, x) not in values:
-            values[i, x] = eval_value(game, game.prefs[i], x)
-        return y in values[i, x]
-
+    ranks = _ranks(game)
+    carriers = [ranks.span(c) for c in ranks.carriers]
     for i in range(game.n):
-        for (y,) in _order_cells(game, [i], base_points):
-            probe_opts: list[dict[Fraction, list[Fraction]]] = []
-            for carrier in carriers:
-                cells = list(carrier.split([*base_points, y]))
-                opts = {}
-                for k, (a, b, t) in enumerate(cells):
-                    # a constant is probed with the midpoints of the gaps beside it
-                    near = cells[max(k - 1, 0) : k + 2] if a == b else []
-                    opts[t] = [t] + [m for c, d, m in near if c != d and t in (c, d)]
-                probe_opts.append(opts)
+        for (y,) in ranks.cells([i]):
+            # the points and y, each probed with the midpoints of the gaps
+            # beside it, and those midpoints, in order; a midpoint of ranks
+            # is a rank
+            cuts = sorted({*ranks.rank.values(), y})
+            gaps = [(a, b, (a + b) // 2) for a, b in zip(cuts, cuts[1:])]
+            near = {t: [t] for t in sorted(cuts + [m for *_, m in gaps])}
+            for a, b, m in gaps:
+                near[a].append(m)
+                near[b].append(m)
+            probe_opts = [
+                {t: [p for p in probes if p in c] for t, probes in near.items() if t in c}
+                for c in carriers
+            ]
             for x in itertools.product(*probe_opts):
-                if not member(i, y, x):
+                if y not in ranks.value(ranks.prefs[i], x):
                     continue
                 for probe in itertools.product(*(o[c] for o, c in zip(probe_opts, x))):
-                    if not member(i, y, probe):
-                        return Verdict(name, "fails", witness=(i + 1, y, x))
+                    if y not in ranks.value(ranks.prefs[i], probe):
+                        witness = (i + 1, ranks.coord(y), ranks.profile(x))
+                        return Verdict(name, "fails", witness=witness)
     return Verdict(name, "holds")
 
 
@@ -377,35 +337,32 @@ def _continuum_regions(game: Game, h: Pairing):
     cells, cut at h's endpoints too, decides both. A union of boxes holds
     each product cell (a constant or open gap on every axis) wholly or not
     at all; a region that splits one, like x1 >= x2, raises GameError."""
-    points = _global_breakpoints(game, *h)
-    # segment number of each value met, as in _PieceIndex.segment; none is
-    # 0, as every coordinate lies at or above the first point
-    segment = {t: 2 * k + 1 for k, t in enumerate(points)}
-    kept = [{2 * bisect_left(points, b) + (a == b) for a, b, _ in f.split(points)} for f in h]
+    ranks = _ranks(game, *h)
+    kept = [ranks.span(f) for f in h]
     cells: dict[tuple[int, ...], tuple[bool, bool]] = {}
     first: dict[tuple[bool, bool], tuple] = {}
-    for x in _order_cells(game, list(range(game.n)), points):
-        key = tuple(
-            segment.get(t) or segment.setdefault(t, 2 * bisect_left(points, t)) for t in x
-        )
-        orig, red = True, all(s in k for s, k in zip(key, kept))
-        for corr, f in zip(game.prefs, h):
+    for x in ranks.cells(list(range(game.n))):
+        # each coordinate's segment over the points, as in _PieceIndex.segment
+        key = tuple(2 * (r // ranks.width) + 1 + (r % ranks.width > 0) for r in x)
+        orig, red = True, all(t in f for t, f in zip(x, kept))
+        for corr, f in zip(ranks.prefs, kept):
             if not (orig or red):
                 break
-            v = eval_value(game, corr, x)
+            v = ranks.value(corr, x)
             if v:
                 orig, red = False, red and not (v & f)
         if cells.setdefault(key, (orig, red)) != (orig, red):
             raise GameError(
                 "the maximal elements are not a finite union of boxes: "
-                f"near profile {_fmt(x)} they depend on the order of coordinates"
+                f"near profile {_fmt(ranks.profile(x))} they depend on the order of coordinates"
             )
         first.setdefault((orig, red), x)
     original, reduced = (
-        MaximalElements("boxes", boxes=_boxes(points, {c for c, m in cells.items() if m[k]}))
+        MaximalElements("boxes", boxes=_boxes(ranks.points, {c for c, m in cells.items() if m[k]}))
         for k in (0, 1)
     )
-    return original, reduced, first.get((True, False)) or first.get((False, True))
+    witness = first.get((True, False)) or first.get((False, True))
+    return original, reduced, witness and ranks.profile(witness)
 
 
 def maximal_elements(game: Game) -> MaximalElements:

@@ -30,8 +30,8 @@ from .games import (
     Piece,
     PiecewiseMap,
     UtilityTable,
-    _global_breakpoints,
     _piece_index,
+    _ranks,
 )
 from .intervals import IntervalSet
 
@@ -268,7 +268,7 @@ def _region_where(
     # _global_breakpoints): every comparison pits x against one of them.
     sets = h if member is None else (*h, member)
     return domain.select(
-        _global_breakpoints(game, *sets),
+        itertools.chain(_ranks(game).points, *(s.endpoints() for s in sets)),
         lambda t: _condition_holds(game, h, i, t, member, exclude_self),
     )
 

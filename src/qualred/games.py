@@ -10,7 +10,7 @@ the two backends never mix within one game.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import xor
@@ -145,6 +145,8 @@ class Game:
     comps: tuple[CorrMap, ...] | None = None
     utils: tuple[UtilityTable, ...] | None = None
     prefs_derived: bool = False
+    # a continuum game's _Ranks, built on its first scan (see _ranks)
+    _ranks: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -185,9 +187,8 @@ class _PieceIndex:
     the line into segments 0..2m: 2k + 1 is the point cuts[k], 2k the open
     gap below it, 2m the ray above the last cut. masks[j][s] has bit k set
     when piece k's factor j covers segment s, so the pieces at a profile are
-    the AND of one mask per coordinate. values[k] is piece k's value, clip
-    included, if it reads no coordinate, else None; consts holds the
-    constant ends of all values.
+    the AND of one mask per coordinate. consts holds the constant ends of
+    all values.
     """
 
     def __init__(self, corr: PiecewiseMap, n: int):
@@ -207,15 +208,8 @@ class _PieceIndex:
                     flips[2 * bisect_left(cuts, hi.value) + 1 + hi.closed] ^= 1 << k
             self.cuts.append(cuts)
             self.masks.append(list(itertools.accumulate(flips, xor)))
-        ends = [
-            (p.value.lo, p.value.hi) if isinstance(p.value, SymInterval) else ()
-            for p in pieces
-        ]
-        self.values = [
-            None if any(isinstance(e, Coord) for e in pair) else piece_value(corr, p, ())
-            for p, pair in zip(pieces, ends)
-        ]
-        self.consts = {e.value for pair in ends for e in pair if isinstance(e, Const)}
+        values = [p.value for p in pieces if isinstance(p.value, SymInterval)]
+        self.consts = {e.value for v in values for e in (v.lo, v.hi) if isinstance(e, Const)}
 
     def segment(self, j: int, x: Fraction) -> int:
         cuts = self.cuts[j]
@@ -234,23 +228,176 @@ def _piece_index(game: Game, corr: PiecewiseMap) -> _PieceIndex:
     return corr._index
 
 
-def _global_breakpoints(game: Game, *sets: IntervalSet) -> list[Fraction]:
+def _global_breakpoints(game: Game) -> list[Fraction]:
     """The sorted rationals a continuum decision can change at: the ends of
-    the carriers, piece cells and clips, constant value ends, and the ends
-    of the given sets. A check or a dominance condition compares a
-    coordinate only with other coordinates and with these: a dominator
-    set's bound is a constant, the coordinate, or the sup or inf of a piece
-    factor cut to a pairing factor, which is an end of one of the two. So
-    its verdict is constant on each order cell (which constant or open gap
-    each coordinate sits at, plus the weak order of coordinates sharing a
-    gap), and one point per cell decides the whole space."""
+    the carriers, piece cells and clips, and constant value ends. A check,
+    or a dominance condition once the ends of its pairing are added,
+    compares a coordinate only with other coordinates and with these: a
+    dominator set's bound is a constant, the coordinate, or the sup or inf
+    of a piece factor cut to a pairing factor, which is an end of one of
+    the two. So its verdict is constant on each order cell (which constant
+    or open gap each coordinate sits at, plus the weak order of coordinates
+    sharing a gap), and one point per cell decides the whole space. Any
+    monotone, injective relabelling of the points and cell points, such as
+    their ranks (see ``_Ranks``), keeps every verdict and every first
+    witness."""
     corrs = game.prefs + (game.comps or ())
-    ends = (*sets, *map(game.carrier, range(game.n)), *(c.clip for c in corrs if c.clip))
+    ends = (*map(game.carrier, range(game.n)), *(c.clip for c in corrs if c.clip))
     values = {e for s in ends for e in s.endpoints()}
     for corr in corrs:
         index = _piece_index(game, corr)
         values.update(index.consts, *index.cuts)
     return sorted(values)
+
+
+class _Span(tuple):
+    """A continuum value in rank space (see ``_Ranks``): the (lo, hi) int
+    bounds of its parts in order, an open end one rank inside, as members
+    have even ranks. It has the IntervalSet operators the scans read."""
+
+    __slots__ = ()
+
+    def __contains__(self, t) -> bool:
+        return any(lo <= t <= hi for lo, hi in self)
+
+    def __le__(self, other: _Span) -> bool:
+        return all(any(c <= a and b <= d for c, d in other) for a, b in self)
+
+    def __and__(self, other: _Span) -> _Span:
+        parts = ((max(a, c), min(b, d)) for a, b in self for c, d in other)
+        return _Span(p for p in parts if p[0] <= p[1])
+
+    def closure(self) -> _Span:  # touching parts stay apart: no scan needs them merged
+        return _Span((lo - (lo & 1), hi + (hi & 1)) for lo, hi in self)
+
+
+class _Ranks:
+    """A continuum game compiled for the scans over sorted cut points that
+    hold its constants. Point k has rank k * w, w = 4(n + 2), and rank
+    k * w + p, 0 < p < w, is the point p / w of the way on to point k + 1
+    (``coord``). Order cells (``cells``) put coordinates at the points and
+    at p = 4, 8, ..., 4(n + 1), so the midpoint of two of these or of a gap
+    end has an even rank too. Ranks relabel the line monotonically and
+    injectively, so every comparison a scan makes, hence every verdict and
+    every first witness, is the same on them; they go back to rationals
+    only for witnesses, boxes and error text.
+
+    Per map, in prefs and comps: masks[j][r], the ``_PieceIndex`` mask at
+    rank r on axis j; per piece, the (coordinate, offset) of each value
+    end, coordinate n reading 0 so that a constant end is an offset; and
+    the clip as a _Span. axes[j] holds player j's options for ``cells``.
+    """
+
+    def __init__(self, game: Game, points: list[Fraction]):
+        self.points, self.width, self.slots = points, 4 * (game.n + 2), game.n + 1
+        self.rank = {t: k * self.width for k, t in enumerate(points)}
+        self.carriers = [game.carrier(j) for j in range(game.n)]
+        self.prefs = tuple(self._compile(game, c) for c in game.prefs)
+        self.comps = game.comps and tuple(self._compile(game, c) for c in game.comps)
+        self.axes = []
+        for carrier in self.carriers:
+            # (rank, gap or -1 at a point, position in the gap), in order
+            out = []
+            for a, b, _ in carrier.split(points):
+                r = self.rank[a]
+                grid = [(r + 4 * k, r, k) for k in range(1, self.slots + 1)]
+                out += [(r, -1, 0)] if a == b else grid
+            self.axes.append(out)
+
+    def _compile(self, game: Game, corr: PiecewiseMap) -> tuple:
+        index, n, points = _piece_index(game, corr), game.n, self.points
+        masks = []
+        for j, (cuts, seg) in enumerate(zip(index.cuts, index.masks)):
+            # the mask at each point, then on the open gap above it
+            pairs = [(seg[index.segment(j, t)], seg[2 * bisect_right(cuts, t)]) for t in points]
+            masks.append([m for at, gap in pairs for m in [at] + [gap] * (self.width - 1)])
+
+        def end(e: EndpointExpr, offset: int) -> tuple[int, int]:
+            if isinstance(e, Const):
+                return n, self.rank[e.value] + offset
+            return e.player - 1, offset
+
+        ends = [
+            (*end(v.lo, not v.lo_closed), *end(v.hi, -(not v.hi_closed)))
+            if isinstance(v, SymInterval)
+            else (n, 0, n, -1)  # empty, as 0 > -1
+            for v in (p.value for p in corr.pieces)
+        ]
+        return masks, ends, None if corr.clip is None else self.span(corr.clip)
+
+    def span(self, s: IntervalSet) -> _Span:
+        rank = self.rank
+        return _Span(
+            (rank[p.lo.value] + (not p.lo.closed), rank[p.hi.value] - (not p.hi.closed)) for p in s
+        )
+
+    def coord(self, r: int) -> Fraction:
+        k, p = divmod(r, self.width)
+        a = self.points[k]
+        return a + (self.points[k + 1] - a) * Fraction(p, self.width) if p else a
+
+    def profile(self, x: tuple) -> tuple:
+        return tuple(map(self.coord, x))
+
+    def value(self, m: tuple, x: tuple) -> _Span:
+        """Map m at the rank profile x: as eval_value, the lowest covering
+        piece wins, and an uncovered profile raises the same GameError."""
+        masks, ends, clip = m
+        mask = -1
+        for row, r in zip(masks, x):
+            mask &= row[r]
+        if not mask:
+            raise GameError(f"profile {tuple(map(str, self.profile(x)))} not covered by any piece")
+        lj, lc, hj, hc = ends[_lowest(mask)]
+        z = x + (0,)
+        lo, hi = z[lj] + lc, z[hj] + hc
+        v = _Span(((lo, hi),) if lo <= hi else ())
+        return v if clip is None else v & clip
+
+    def cells(self, players: list[int]):
+        """One rank profile per order cell, as in analysis._order_cells."""
+        axes = [self.axes[j] for j in players]
+        # per gap, by the rank of its lower end: the coordinates at each
+        # position, and the highest position used
+        count = {r: [0] * (self.slots + 1) for r in self.rank.values()}
+        top = dict.fromkeys(self.rank.values(), 0)
+        point: list[int] = []
+        last = len(axes) - 1
+
+        def walk(t: int, missing: int):
+            # missing: unused positions below the highest one used, summed
+            # over the gaps; only the coordinates after this one can fill them
+            for r, g, k in axes[t]:
+                now = missing
+                if k:
+                    high = top[g]
+                    if not count[g][k]:  # fills a hole, or opens those up to k
+                        now += k - high - 1 if k > high else -1
+                if t == last:
+                    if not now:
+                        yield (*point, r)
+                elif now < last - t + 1:
+                    if k:
+                        count[g][k] += 1
+                        top[g] = max(high, k)
+                    point.append(r)
+                    yield from walk(t + 1, now)
+                    point.pop()
+                    if k:
+                        count[g][k] -= 1
+                        top[g] = high
+
+        return walk(0, 0)
+
+
+def _ranks(game: Game, *sets: IntervalSet) -> _Ranks:
+    """The game's ``_Ranks`` over its cut points, built on its first scan
+    and cached in game._ranks; when the sets add ends, one over both."""
+    if game._ranks is None:
+        game._ranks = _Ranks(game, _global_breakpoints(game))
+    ranks = game._ranks
+    ends = {e for s in sets for e in s.endpoints()}
+    return ranks if ends <= ranks.rank.keys() else _Ranks(game, sorted(ends.union(ranks.points)))
 
 
 def eval_value(game: Game, corr: CorrMap, profile: Profile):
@@ -274,9 +421,7 @@ def eval_value(game: Game, corr: CorrMap, profile: Profile):
         mask &= index.masks[j][index.segment(j, x)]
     if not mask:
         raise GameError(f"profile {tuple(map(str, profile))} not covered by any piece")
-    k = _lowest(mask)
-    value = index.values[k]
-    return piece_value(corr, corr.pieces[k], profile) if value is None else value
+    return piece_value(corr, corr.pieces[_lowest(mask)], profile)
 
 
 def piece_value(corr: PiecewiseMap, piece: Piece, profile: Profile) -> IntervalSet:

@@ -603,6 +603,9 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     unknown = [check for check in config.checks if check not in CHECKS]
     if unknown:
         raise GameError(f"unknown fuzz check {unknown[0]!r}")
+    for count in ("trials", "oracle_bound"):
+        if getattr(config, count) < 1:
+            raise GameError(f"fuzz {count} must be at least 1, got {getattr(config, count)}")
     records: list[TrialRecord] = []
     findings: list[Finding] = []
     for t in range(config.trials):

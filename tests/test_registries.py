@@ -26,3 +26,20 @@ def test_fuzz_check_aliases_name_registered_checks():
 def test_unknown_fuzz_check_is_a_game_error():
     with pytest.raises(GameError, match="unknown fuzz check 'bogus'"):
         fuzz(FuzzConfig(trials=1, checks=("bogus",)))
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (FuzzConfig(trials=0), "fuzz trials must be at least 1, got 0"),
+        (FuzzConfig(trials=-2), "fuzz trials must be at least 1, got -2"),
+        (
+            FuzzConfig(trials=3, mode="raw", checks=("confluence",), oracle_bound=0),
+            "fuzz oracle_bound must be at least 1, got 0",
+        ),
+    ],
+)
+def test_fuzz_counts_below_one_are_game_errors(config, message):
+    # a bound of 0 would skip the confluence law on every trial unreported
+    with pytest.raises(GameError, match=message):
+        fuzz(config)
