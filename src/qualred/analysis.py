@@ -11,9 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_
-from types import SimpleNamespace
 
-from .games import Game, GameError, _global_breakpoints, _Ranks, _ranks, eval_value
+from .games import Game, GameError, _Ranks, _ranks, _scan, eval_value
 from .intervals import Boundary, Interval, IntervalSet
 from .engine import (
     Pairing,
@@ -51,10 +50,15 @@ class Verdict:
 
 
 def _order_cells(game: Game, players: list[int], points: list[Fraction]):
-    """One point per order cell (see ``games._global_breakpoints``) of a
-    continuum game, in lexicographic order, for sorted points that hold
-    the game's constants; coordinate k ranges over the carrier of player
-    players[k].
+    """One point per order cell of a continuum game, in lexicographic order,
+    for sorted points that hold the game's constants.
+
+    Coordinate k ranges over the carrier of player players[k]. A cell fixes
+    which constant, or which open gap between consecutive constants, each
+    coordinate sits at, plus the weak order of the coordinates that share
+    a gap. Every check compares coordinates only with each other and with
+    the game's constants, so its truth is constant on each cell
+    (quantifier elimination for dense linear orders).
 
     Gap (a, b) offers the grid points a + (b - a) * k / (n + 2) for
     k = 1..n+1, enough for n + 1 coordinates. Yielded are the grid points
@@ -62,27 +66,13 @@ def _order_cells(game: Game, players: list[int], points: list[Fraction]):
     first grid point of a lexicographic scan that fails a check is least
     in its cell, so a scan of these points meets the same first witness as
     a scan of the whole grid. The scans walk these cells in rank space
-    (``games._Ranks.cells``); this maps that walk back to rationals.
+    (``games._Ranks.cells``), a monotone, injective relabelling that keeps
+    every verdict and every first witness; this maps the walk back.
     """
     ranks = _ranks(game)
     if points != ranks.points:
         ranks = _Ranks(game, points)
     return map(ranks.profile, ranks.cells(players))
-
-
-def _scan(game: Game):
-    """What the scans read: the ``games._Ranks`` of a continuum game, or a
-    stand-in with its attributes over the label profiles of a finite game."""
-    if not game.is_finite:
-        return _ranks(game)
-    return SimpleNamespace(
-        prefs=game.prefs,
-        comps=game.comps,
-        cells=lambda players: itertools.product(*map(game.labels, players)),
-        value=lambda corr, x: eval_value(game, corr, x),
-        coord=lambda t: t,
-        profile=lambda x: x,
-    )
 
 
 def _closure(v):
@@ -131,7 +121,7 @@ def check_property_T_pair(game: Game) -> Verdict:
     return _check_property_T(game, pair=True)
 
 
-def _check_pointwise(game: Game, name: str, comps: bool, bad) -> Verdict:
+def _check_pointwise(game: Game, name: str, bad, comps: bool = False) -> Verdict:
     """Scan every profile x, or one per order cell of a continuum game, for
     each player i; fail at the first where bad(i, x, v) holds for v the
     value at x of P_i, or of Q_i when comps."""
@@ -147,18 +137,18 @@ def _check_pointwise(game: Game, name: str, comps: bool, bad) -> Verdict:
 
 
 def check_irreflexive(game: Game) -> Verdict:
-    return _check_pointwise(game, "irreflexive", False, lambda i, x, v: x[i] in v)
+    return _check_pointwise(game, "irreflexive", lambda i, x, v: x[i] in v)
 
 
 def check_strong_irreflexive(game: Game) -> Verdict:
     """No strategy sits in the closure of what it is beaten by."""
     return _check_pointwise(
-        game, "strong-irreflexive", False, lambda i, x, v: x[i] in _closure(v)
+        game, "strong-irreflexive", lambda i, x, v: x[i] in _closure(v)
     )
 
 
 def check_q_reflexive(game: Game) -> Verdict:
-    return _check_pointwise(game, "q-reflexive", True, lambda i, x, v: x[i] not in v)
+    return _check_pointwise(game, "q-reflexive", lambda i, x, v: x[i] not in v, comps=True)
 
 
 def check_q_closed_convex(game: Game) -> Verdict:
@@ -169,7 +159,7 @@ def check_q_closed_convex(game: Game) -> Verdict:
             return bool(idx) and idx[-1] - idx[0] + 1 != len(idx)
         return len(v) > 1 or v.closure() != v
 
-    return _check_pointwise(game, "q-closed-convex", True, bad)
+    return _check_pointwise(game, "q-closed-convex", bad, comps=True)
 
 
 def check_open_lower_sections(game: Game) -> Verdict:

@@ -13,7 +13,9 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from operator import xor
+from types import SimpleNamespace
 from typing import Iterator, Union
 
 from .intervals import Boundary, Interval, IntervalSet
@@ -145,8 +147,8 @@ class Game:
     comps: tuple[CorrMap, ...] | None = None
     utils: tuple[UtilityTable, ...] | None = None
     prefs_derived: bool = False
-    # a continuum game's _Ranks, built on its first scan (see _ranks)
-    _ranks: object = field(default=None, init=False, repr=False, compare=False)
+    # what the scans read, built on the first one (see _scan)
+    _scan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -390,12 +392,37 @@ class _Ranks:
         return walk(0, 0)
 
 
+def _same(t):
+    return t
+
+
+def _label_cells(game: Game, players: list[int]):
+    return itertools.product(*map(game.labels, players))
+
+
+def _scan(game: Game):
+    """What the scans of ``analysis`` read, built on a game's first scan
+    and cached in game._scan: the ``_Ranks`` of a continuum game over its
+    cut points, or for a finite game a stand-in with its attributes over
+    the label profiles, whose values are eval_value's."""
+    if game._scan is None and game.is_finite:
+        game._scan = SimpleNamespace(
+            prefs=game.prefs,
+            comps=game.comps,
+            cells=partial(_label_cells, game),
+            value=partial(eval_value, game),
+            coord=_same,
+            profile=_same,
+        )
+    elif game._scan is None:
+        game._scan = _Ranks(game, _global_breakpoints(game))
+    return game._scan
+
+
 def _ranks(game: Game, *sets: IntervalSet) -> _Ranks:
-    """The game's ``_Ranks`` over its cut points, built on its first scan
-    and cached in game._ranks; when the sets add ends, one over both."""
-    if game._ranks is None:
-        game._ranks = _Ranks(game, _global_breakpoints(game))
-    ranks = game._ranks
+    """The ``_Ranks`` of a continuum game (see ``_scan``); when the ends of
+    the sets are not all among its points, one over both, not cached."""
+    ranks = _scan(game)
     ends = {e for s in sets for e in s.endpoints()}
     return ranks if ends <= ranks.rank.keys() else _Ranks(game, sorted(ends.union(ranks.points)))
 

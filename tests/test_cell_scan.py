@@ -12,10 +12,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qualred.analysis import _global_breakpoints, _order_cells, check_hypotheses
+from qualred.analysis import _order_cells, check_hypotheses
 from qualred.dsl import parse_game
 from qualred.engine import full_pairing, restrict
-from qualred.games import eval_value
+from qualred.games import _global_breakpoints, eval_value
 from qualred.intervals import IntervalSet
 
 INTERIOR = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]

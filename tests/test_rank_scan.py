@@ -18,10 +18,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from qualred.analysis import _global_breakpoints, _order_cells, check_irreflexive
+from qualred.analysis import _order_cells, check_irreflexive
 from qualred.dsl import parse_game
 from qualred.engine import restrict
-from qualred.games import EMPTY_VALUE, Cell, GameError, Piece, PiecewiseMap, _ranks, eval_value
+from qualred.games import (
+    EMPTY_VALUE,
+    Cell,
+    GameError,
+    Piece,
+    PiecewiseMap,
+    _global_breakpoints,
+    _ranks,
+    eval_value,
+)
 from qualred.intervals import Boundary, Interval, IntervalSet
 from test_cell_scan import brute_order_cells, random_game_text
 from test_maximal_regions import _restriction

@@ -38,6 +38,7 @@ def test_unknown_fuzz_check_is_a_game_error():
             "fuzz oracle_bound must be at least 1, got 0",
         ),
     ],
+    ids=["trials-0", "trials-negative", "oracle-bound-0"],
 )
 def test_fuzz_counts_below_one_are_game_errors(config, message):
     # a bound of 0 would skip the confluence law on every trial unreported
