@@ -298,7 +298,8 @@ class _Ranks:
         self.comps = game.comps and tuple(self._compile(game, c) for c in game.comps)
         self.axes = []
         for carrier in self.carriers:
-            # (rank, gap or -1 at a point, position in the gap), in order
+            # (rank, rank of the gap's lower end, position in the gap), or
+            # (rank, -1, 0) at a point, in order
             out = []
             for a, b, _ in carrier.split(points):
                 r = self.rank[a]

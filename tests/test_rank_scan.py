@@ -93,8 +93,8 @@ def test_rank_values_match_eval_value(n):
         ranks = _ranks(game)
         axes = [_rank_axis(ranks, j) for j in range(n)]
         profiles = list(itertools.product(*axes))
-        if len(profiles) > 1500:
-            profiles = rng.sample(profiles, 1500)
+        if len(profiles) > 1000:
+            profiles = rng.sample(profiles, 1000)
         for x in profiles:
             for corr, m in _maps(game, ranks):
                 want = eval_value(game, corr, ranks.profile(x))
