@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import and_
 
 from .games import Game, GameError, _Ranks, _ranks, _scan, eval_value
-from .intervals import Boundary, Interval, IntervalSet
+from .intervals import IntervalSet
 from .engine import (
     Pairing,
     _finite_rows,
@@ -47,32 +46,6 @@ class Verdict:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def _order_cells(game: Game, players: list[int], points: list[Fraction]):
-    """One point per order cell of a continuum game, in lexicographic order,
-    for sorted points that hold the game's constants.
-
-    Coordinate k ranges over the carrier of player players[k]. A cell fixes
-    which constant, or which open gap between consecutive constants, each
-    coordinate sits at, plus the weak order of the coordinates that share
-    a gap. Every check compares coordinates only with each other and with
-    the game's constants, so its truth is constant on each cell
-    (quantifier elimination for dense linear orders).
-
-    Gap (a, b) offers the grid points a + (b - a) * k / (n + 2) for
-    k = 1..n+1, enough for n + 1 coordinates. Yielded are the grid points
-    least in their cell: those whose positions in each gap are 1..R. The
-    first grid point of a lexicographic scan that fails a check is least
-    in its cell, so a scan of these points meets the same first witness as
-    a scan of the whole grid. The scans walk these cells in rank space
-    (``games._Ranks.cells``), a monotone, injective relabelling that keeps
-    every verdict and every first witness; this maps the walk back.
-    """
-    ranks = _ranks(game)
-    if points != ranks.points:
-        ranks = _Ranks(game, points)
-    return map(ranks.profile, ranks.cells(players))
 
 
 def _closure(v):
@@ -289,30 +262,25 @@ class MaximalElements:
         return not self.profiles and not self.boxes
 
 
-def _boxes(points: list[Fraction], cells: set[tuple[int, ...]]) -> list[tuple]:
+def _boxes(ranks: _Ranks, cells: set[tuple[tuple[int, int], ...]]) -> list[tuple]:
     """The canonical boxes of a union of product cells, each a tuple of
-    segment numbers over the points as in ``_PieceIndex.segment``. At the
-    first coordinate, the segments with the same cross-section share one
-    factor, and each cross-section is split likewise, so the boxes depend
-    on the region only, not on the points that cut it."""
-
-    def interval(s: int) -> Interval:
-        # odd s: the point points[s // 2]; even s: the gap just below it
-        a, b = points[(s - 1) // 2], points[s // 2]
-        return Interval(Boundary(a, a == b), Boundary(b, a == b))
+    rank parts (see ``games._Ranks.part``). At the first coordinate, the
+    parts with the same cross-section share one factor, and each
+    cross-section is split likewise, so the boxes depend on the region
+    only, not on the points that cut it."""
 
     def split(cells) -> list[tuple]:
         if () in cells:
             return [()]
-        sections: dict[int, set] = {}
+        sections: dict[tuple, set] = {}
         for c in cells:
             sections.setdefault(c[0], set()).add(c[1:])
-        groups: dict[frozenset, list[int]] = {}
-        for s, tails in sections.items():
-            groups.setdefault(frozenset(tails), []).append(s)
+        groups: dict[frozenset, list[tuple]] = {}
+        for part, tails in sections.items():
+            groups.setdefault(frozenset(tails), []).append(part)
         return [
-            (IntervalSet.from_parts(map(interval, segs)),) + box
-            for tails, segs in groups.items()
+            (ranks.back(parts),) + box
+            for tails, parts in groups.items()
             for box in split(tails)
         ]
 
@@ -329,11 +297,10 @@ def _continuum_regions(game: Game, h: Pairing):
     at all; a region that splits one, like x1 >= x2, raises GameError."""
     ranks = _ranks(game, *h)
     kept = [ranks.span(f) for f in h]
-    cells: dict[tuple[int, ...], tuple[bool, bool]] = {}
+    cells: dict[tuple, tuple[bool, bool]] = {}
     first: dict[tuple[bool, bool], tuple] = {}
     for x in ranks.cells(list(range(game.n))):
-        # each coordinate's segment over the points, as in _PieceIndex.segment
-        key = tuple(2 * (r // ranks.width) + 1 + (r % ranks.width > 0) for r in x)
+        key = tuple(map(ranks.part, x))
         orig, red = True, all(t in f for t, f in zip(x, kept))
         for corr, f in zip(ranks.prefs, kept):
             if not (orig or red):
@@ -348,7 +315,7 @@ def _continuum_regions(game: Game, h: Pairing):
             )
         first.setdefault((orig, red), x)
     original, reduced = (
-        MaximalElements("boxes", boxes=_boxes(ranks.points, {c for c, m in cells.items() if m[k]}))
+        MaximalElements("boxes", boxes=_boxes(ranks, {c for c, m in cells.items() if m[k]}))
         for k in (0, 1)
     )
     witness = first.get((True, False)) or first.get((False, True))

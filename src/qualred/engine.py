@@ -5,6 +5,9 @@ finite games, an interval set otherwise). The dominator set of a strategy
 x for player i, taken at a pairing H, is the intersection over all
 opponent profiles in H of the preferred sets P_i(x, .); its members beat x
 against everything the opponents might still play.
+
+Finite games read their compiled tables (``_FiniteRows``), continuum
+games the compiled rank record the checks scan (``games._Ranks``).
 """
 
 from __future__ import annotations
@@ -13,16 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_
 from typing import Union
 
 from .games import (
     Cell,
-    Const,
     ContinuumSpace,
-    EmptyValue,
     FiniteSpace,
     FiniteTable,
     Game,
@@ -30,7 +30,6 @@ from .games import (
     Piece,
     PiecewiseMap,
     UtilityTable,
-    _piece_index,
     _ranks,
 )
 from .intervals import IntervalSet
@@ -160,83 +159,26 @@ def _finite_rows(game: Game, i: int) -> _FiniteRows:
     return corr._rows
 
 
-def _sym_bound(expr, closed: bool, x: Fraction, own: int, overlaps, low_side: bool):
-    """One endpoint of a piece's contribution to the dominator set.
-
-    Intersecting y > s over all s in a range S tightens the bound to
-    sup S, closed exactly when the sup is not attained; with >= the bound
-    closes regardless. Upper endpoints behave dually through inf S.
-    """
-    if isinstance(expr, Const):
-        return expr.value, closed
-    if expr.player == own:
-        return x, closed
-    rng = overlaps[expr.player - 1]
-    if low_side:
-        value, attained = rng.sup()
-    else:
-        value, attained = rng.inf()
-    return value, closed or not attained
-
-
-def _overlaps(piece: Piece, h: Pairing, i: int) -> list | None:
-    """The piece's opponent factors cut to h (None at i), or None when one
-    is empty and the piece meets no opponent profile of h."""
-    out = [None if j == i else f & h[j] for j, f in enumerate(piece.cell.factors)]
-    return out if all(o is None or o for o in out) else None
-
-
 def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     """Strategies of player i beating x against every opponent profile in h.
 
     An empty opponent factor makes the condition vacuous: the result is the
     full ambient space. Elimination operators guard against that case
-    themselves and eliminate nothing.
+    themselves and eliminate nothing. A continuum set is decided at x's
+    rank (see ``games._Ranks.dominators``) in the game's cached record, or,
+    when x or an end of h is not among its points, in a one-off record
+    over those too, which is not cached.
     """
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
         rows = _finite_rows(game, i)
         return DominatorSet(rows.members(rows.dominators(h)[x]))
 
-    carrier = game.carrier(i)
     if not all(h[j] for j in range(game.n) if j != i):
-        return DominatorSet(carrier)
-    result = carrier
-    index = _piece_index(game, corr)
-    own = index.masks[i][index.segment(i, x)]  # the pieces whose factor i holds x
-    for k, piece in enumerate(corr.pieces):
-        overlaps = _overlaps(piece, h, i) if own >> k & 1 else None
-        if overlaps is None:
-            continue
-        if isinstance(piece.value, EmptyValue):
-            result = IntervalSet.empty()
-            break
-        v = piece.value
-        lo_val, lo_closed = _sym_bound(
-            v.lo, v.lo_closed, x, i + 1, overlaps, low_side=True
-        )
-        hi_val, hi_closed = _sym_bound(
-            v.hi, v.hi_closed, x, i + 1, overlaps, low_side=False
-        )
-        result = result.intersect(
-            IntervalSet.interval(lo_val, hi_val, lo_closed, hi_closed)
-        )
-        if result.is_empty:
-            break
-    if corr.clip is not None:
-        result = result.intersect(corr.clip)
-    return DominatorSet(result)
-
-
-def _condition_holds(
-    game: Game, h: Pairing, i: int, x, member, exclude_self: bool
-) -> bool:
-    d = dominator_set(game, h, i, x).strategies
-    if member is not None:
-        d = d & member
-    if exclude_self:
-        d = d - IntervalSet.point(x)
-    return bool(d)
+        return DominatorSet(game.carrier(i))
+    ranks = _ranks(game, *h, IntervalSet.point(x))
+    d = ranks.dominators(i, ranks.rank[x], [ranks.span(f) for f in h])
+    return DominatorSet(ranks.back(d))
 
 
 def _region_where(
@@ -251,7 +193,12 @@ def _region_where(
 
     The condition: dominator set of x over the opponents in h, optionally
     intersected with member (minus x itself when exclude_self), nonempty.
-    An empty opponent factor yields the empty region.
+    An empty opponent factor yields the empty region. On a continuum
+    game the condition is constant at each point of
+    ``games._ranks(game, *h, domain, member)`` and on each gap between
+    them (see _global_breakpoints), so one rank of each decides it. The
+    ends of the regions the reduction and conditions C and D ask for stay
+    among the game's cut points, so they read its cached record.
     """
     if not all(h[j] for j in range(game.n) if j != i):
         return domain - domain
@@ -264,13 +211,16 @@ def _region_where(
             for x in domain
             if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
         )
-    # The condition is constant at each cut point and between them (see
-    # _global_breakpoints): every comparison pits x against one of them.
-    sets = h if member is None else (*h, member)
-    return domain.select(
-        itertools.chain(_ranks(game).points, *(s.endpoints() for s in sets)),
-        lambda t: _condition_holds(game, h, i, t, member, exclude_self),
-    )
+    member = game.carrier(i) if member is None else member
+    ranks = _ranks(game, *h, domain, member)
+    spans, inside, beat = [ranks.span(f) for f in h], ranks.span(domain), ranks.span(member)
+
+    def holds(t: int) -> bool:
+        d = ranks.dominators(i, t, spans) & beat
+        return any(p != (t, t) for p in d) if exclude_self else bool(d)
+
+    tests = range(0, len(ranks.points) * ranks.width, ranks.width // 2)  # points and gaps
+    return ranks.back(ranks.part(t) for t in tests if t in inside and holds(t))
 
 
 def eliminated_region(game: Game, h: Pairing, i: int, op: Operator) -> Factor:

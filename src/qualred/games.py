@@ -286,8 +286,9 @@ class _Ranks:
 
     Per map, in prefs and comps: masks[j][r], the ``_PieceIndex`` mask at
     rank r on axis j; per piece, the (coordinate, offset) of each value
-    end, coordinate n reading 0 so that a constant end is an offset; and
-    the clip as a _Span. axes[j] holds player j's options for ``cells``.
+    end, coordinate n reading 0 so that a constant end is an offset; the
+    clip as a _Span; and per piece, its cell's factors as _Spans. axes[j]
+    holds player j's options for ``cells``.
     """
 
     def __init__(self, game: Game, points: list[Fraction]):
@@ -308,12 +309,12 @@ class _Ranks:
             self.axes.append(out)
 
     def _compile(self, game: Game, corr: PiecewiseMap) -> tuple:
-        index, n, points = _piece_index(game, corr), game.n, self.points
+        index, n, w = _piece_index(game, corr), game.n, self.width
         masks = []
-        for j, (cuts, seg) in enumerate(zip(index.cuts, index.masks)):
-            # the mask at each point, then on the open gap above it
-            pairs = [(seg[index.segment(j, t)], seg[2 * bisect_right(cuts, t)]) for t in points]
-            masks.append([m for at, gap in pairs for m in [at] + [gap] * (self.width - 1)])
+        for cuts, seg in zip(index.cuts, index.masks):
+            # the mask at point t (segment a + b) and on the gap above it (2b)
+            bounds = [(bisect_left(cuts, t), bisect_right(cuts, t)) for t in self.points]
+            masks.append([m for a, b in bounds for m in [seg[a + b]] + [seg[2 * b]] * (w - 1)])
 
         def end(e: EndpointExpr, offset: int) -> tuple[int, int]:
             if isinstance(e, Const):
@@ -326,13 +327,30 @@ class _Ranks:
             else (n, 0, n, -1)  # empty, as 0 > -1
             for v in (p.value for p in corr.pieces)
         ]
-        return masks, ends, None if corr.clip is None else self.span(corr.clip)
+        factors = [tuple(map(self.span, p.cell.factors)) for p in corr.pieces]
+        return masks, ends, None if corr.clip is None else self.span(corr.clip), factors
 
     def span(self, s: IntervalSet) -> _Span:
         rank = self.rank
         return _Span(
             (rank[p.lo.value] + (not p.lo.closed), rank[p.hi.value] - (not p.hi.closed)) for p in s
         )
+
+    def back(self, parts) -> IntervalSet:
+        """The IntervalSet of rank parts, such as a _Span's: an even end is
+        closed at its rank, an odd one open at the even rank beside it."""
+        return IntervalSet.from_parts(
+            Interval(
+                Boundary(self.coord(lo - (lo & 1)), not lo & 1),
+                Boundary(self.coord(hi + (hi & 1)), not hi & 1),
+            )
+            for lo, hi in parts
+        )
+
+    def part(self, r: int) -> tuple[int, int]:
+        """The rank part of the point at r, or of the open gap holding r."""
+        a = r - r % self.width
+        return (a, a) if r == a else (a + 1, a + self.width - 1)
 
     def coord(self, r: int) -> Fraction:
         k, p = divmod(r, self.width)
@@ -345,7 +363,7 @@ class _Ranks:
     def value(self, m: tuple, x: tuple) -> _Span:
         """Map m at the rank profile x: as eval_value, the lowest covering
         piece wins, and an uncovered profile raises the same GameError."""
-        masks, ends, clip = m
+        masks, ends, clip, _ = m
         mask = -1
         for row, r in zip(masks, x):
             mask &= row[r]
@@ -357,8 +375,54 @@ class _Ranks:
         v = _Span(((lo, hi),) if lo <= hi else ())
         return v if clip is None else v & clip
 
+    def dominators(self, i: int, x: int, spans: list[_Span]) -> _Span:
+        """Player i's dominator set at the even rank x: the intersection of
+        P_i over every opponent profile in spans, one per player, those of
+        the opponents nonempty. Each piece whose cell holds x and meets them
+        bounds it by its value, an end naming opponent j standing for the
+        sup (lower end) or inf (upper end) of the piece's factor j cut to
+        spans[j]. y > s for every s in S means y > sup S when S attains it
+        and y >= sup S when not; y >= s means y >= sup S either way. In
+        ranks, with top the cut factor's last rank (even when the sup is
+        attained, one below it when not), that bound is top + 1 for an open
+        end and top rounded up to even for a closed one:
+        top + (open | top & 1). Upper ends are dual, with bot the factor's
+        first rank: bot - (open | bot & 1). The own coordinate is read as
+        the single rank x, and a constant end, which is its offset, as the
+        single rank 0."""
+        masks, ends, clip, factors = self.prefs[i]
+        d, own = self.span(self.carriers[i]), masks[i][x]
+        for k, cell in enumerate(factors):
+            if not own >> k & 1:
+                continue
+            cut = [f & s for f, s in zip(cell, spans)]
+            cut[i] = ((x, x),)
+            if not all(cut):
+                continue
+            cut.append(((0, 0),))
+            lj, lc, hj, hc = ends[k]
+            top, bot = cut[lj][-1][1], cut[hj][0][0]
+            d &= _Span(((top + (lc | top & 1), bot - (-hc | bot & 1)),))
+            if not d:
+                break
+        return d if clip is None else d & clip
+
     def cells(self, players: list[int]):
-        """One rank profile per order cell, as in analysis._order_cells."""
+        """One rank profile per order cell, in lexicographic order, with
+        coordinate k on the carrier of player players[k]. A cell fixes
+        which point, or which open gap between consecutive points, each
+        coordinate sits at, plus the weak order of the coordinates that
+        share a gap. Every check compares coordinates only with each other
+        and with the game's constants, so its truth is constant on each
+        cell (quantifier elimination for dense linear orders).
+
+        A gap offers the grid positions p = 4, 8, ..., 4(n + 1), enough
+        for n + 1 coordinates. Yielded are the grid points least in their
+        cell: those whose positions in each gap are 1..R. The first grid
+        point of a lexicographic scan that fails a check is least in its
+        cell, so a scan of these points meets the same first witness as a
+        scan of the whole grid.
+        """
         axes = [self.axes[j] for j in players]
         # per gap, by the rank of its lower end: the coordinates at each
         # position, and the highest position used

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=False)
@@ -176,19 +176,6 @@ class IntervalSet:
                 b = points[k + 1]
                 if (mid := (a + b) / 2) in self:
                     yield a, b, mid
-
-    def select(
-        self, cuts: Iterable[Fraction], holds: Callable[[Fraction], bool]
-    ) -> "IntervalSet":
-        """The members t with holds(t), for a holds that is constant at each
-        cut and on each open gap between consecutive cuts: one test per
-        piece of ``split``.
-        """
-        return IntervalSet.from_parts(
-            Interval(Boundary(a, a == b), Boundary(b, a == b))
-            for a, b, t in self.split(cuts)
-            if holds(t)
-        )
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_parts(self.parts + other.parts)

@@ -2,6 +2,9 @@
 
 from fractions import Fraction as F
 
+import pytest
+
+from qualred.dsl import parse_game
 from qualred.engine import (
     Operator,
     dominator_set,
@@ -34,6 +37,42 @@ def test_dominator_set_shrinks_with_opponents(load_game):
     assert dominator_set(g, narrowed, 0, F(1, 2)).strategies.render() == "(1/2,1)"
     only_one = (h[0], P(1))
     assert dominator_set(g, only_one, 0, F(1, 2)).strategies.render() == "(1/2,1]"
+
+
+# player 1 is beaten from x2 up while x2 <= 1/2 and from below x2 after,
+# player 2 likewise by x1 with closed ends
+SUP_INF = """game "sup-inf"
+space 1 = interval [0,1]
+space 2 = interval [0,1]
+pref 1 piecewise:
+  when x2 in [0,1/2]: (x2, 1]
+  when x2 in (1/2,1]: [0, x2)
+pref 2 piecewise:
+  when x1 in [0,1/2]: [x1, 1]
+  when x1 in (1/2,1]: [0, x1]
+"""
+
+
+@pytest.mark.parametrize(
+    "i, opponents, want",
+    [
+        # an open end closes at an unattained sup or inf, stays open at
+        # an attained one
+        (0, I(0, F(1, 2), True, False), "[1/2,1]"),
+        (0, I(0, F(1, 2)), "(1/2,1]"),
+        (0, I(F(3, 4), 1, False, True), "[0,3/4]"),
+        (0, I(F(3, 4), 1), "[0,3/4)"),
+        # a closed end is closed either way
+        (1, I(0, F(1, 2), True, False), "[1/2,1]"),
+        (1, I(0, F(1, 2)), "[1/2,1]"),
+        (1, I(F(3, 4), 1, False, True), "[0,3/4]"),
+        (1, I(F(3, 4), 1), "[0,3/4]"),
+    ],
+)
+def test_dominator_set_bound_by_an_opponent_sup_or_inf(i, opponents, want):
+    g = parse_game(SUP_INF)
+    h = (opponents, g.carrier(1)) if i else (g.carrier(0), opponents)
+    assert dominator_set(g, h, i, F(1, 4)).strategies.render() == want
 
 
 def test_dominator_set_finite(load_game):

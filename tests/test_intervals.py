@@ -91,44 +91,6 @@ def test_parse_rejects_garbage():
     assert parse_interval_set("[0,1/01]") == I(0, 1)
 
 
-def _recording(holds):
-    calls = []
-
-    def wrapped(t):
-        calls.append(t)
-        return holds(t)
-
-    return wrapped, calls
-
-
-def test_select_keeps_a_cut_point():
-    holds, calls = _recording(lambda t: t == F(1, 2))
-    assert I(0, 1).select([F(1, 2)], holds) == P(F(1, 2))
-    assert calls == [0, F(1, 4), F(1, 2), F(3, 4), 1]
-
-
-def test_select_keeps_open_gaps():
-    assert I(0, 1).select([F(1, 2)], lambda t: t > F(1, 2)) == I(F(1, 2), 1, False)
-    assert I(0, 1).select([F(1, 2)], lambda t: t != F(1, 2)) == I(0, 1).difference(
-        P(F(1, 2))
-    )
-
-
-def test_select_tests_only_gaps_meeting_the_set():
-    a = I(0, F(1, 4)).union(I(F(3, 4), 1, False, True))
-    holds, calls = _recording(lambda t: True)
-    assert a.select([F(1, 2)], holds) == a
-    # neither gap beside the cut 1/2 meets the set, nor does 1/2 or 3/4
-    assert calls == [0, F(1, 8), F(1, 4), F(7, 8), 1]
-
-
-def test_select_on_the_empty_set():
-    holds, calls = _recording(lambda t: True)
-    assert IntervalSet.empty().select([0, 1], holds) == IntervalSet.empty()
-    assert IntervalSet.empty().select([], holds) == IntervalSet.empty()
-    assert calls == []
-
-
 # -- randomized laws ---------------------------------------------------------
 
 rationals = st.integers(-8, 8).flatmap(
@@ -208,13 +170,6 @@ def test_membership_agrees_with_set_predicates(a, b, p):
     assert a.union(b).contains(p) == (a.contains(p) or b.contains(p))
     assert a.intersect(b).contains(p) == (a.contains(p) and b.contains(p))
     assert a.difference(b).contains(p) == (a.contains(p) and not b.contains(p))
-
-
-@given(interval_sets(), interval_sets())
-def test_select_by_membership_is_intersection(a, b):
-    cuts = list(b.endpoints())
-    assert a.select(cuts, b.contains) == a.intersect(b)
-    assert a.select(cuts, lambda t: t not in b) == a.difference(b)
 
 
 @given(interval_sets())
