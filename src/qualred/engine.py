@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, reduce
@@ -96,16 +97,15 @@ class _FiniteRows:
     o % inner], inner counting the profiles of the players after i. at(key)
     memoises in self.masks, per tuple of opponent masks, the dominator mask
     of every own strategy in label order: the AND of its column over the
-    surviving opponent profiles. dominators(h) keeps the same masks by
-    label in self.memo, keyed by the opponents' frozensets.
+    surviving opponent profiles. dominators(key) keeps the same masks by
+    label in self.memo, keyed by the opponents' frozensets, h[:i] + h[i + 1 :].
     """
 
     def __init__(self, game: Game, i: int):
         self.labels = game.labels(i)
         self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
-        self.opp = [j for j in range(game.n) if j != i]
         self.opp_bits = [
-            {s: 1 << k for k, s in enumerate(game.labels(j))} for j in self.opp
+            {s: 1 << k for k, s in enumerate(game.labels(j))} for j in range(game.n) if j != i
         ]
         table = game.prefs[i].table
         try:
@@ -133,8 +133,7 @@ class _FiniteRows:
     def members(self, m: int) -> frozenset:
         return frozenset(s for s, b in self.bit.items() if m & b)
 
-    def dominators(self, h: Pairing) -> dict[str, int]:
-        key = tuple(h[j] for j in self.opp)
+    def dominators(self, key: tuple[frozenset, ...]) -> dict[str, int]:
         if key not in self.memo:
             masks = tuple(sum(map(b.__getitem__, f)) for f, b in zip(key, self.opp_bits))
             self.memo[key] = dict(zip(self.labels, self.at(masks)))
@@ -165,20 +164,26 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     An empty opponent factor makes the condition vacuous: the result is the
     full ambient space. Elimination operators guard against that case
     themselves and eliminate nothing. A continuum set is decided at x's
-    rank (see ``games._Ranks.dominators``) in the game's cached record, or,
-    when x or an end of h is not among its points, in a one-off record
-    over those too, which is not cached.
+    rank, or at an even rank of x's gap, in the game's cached record (see
+    ``games._Ranks.dominators``), or in a one-off record, not cached, over
+    the ends of h too when some are off its points or x lies past them.
     """
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
         rows = _finite_rows(game, i)
-        return DominatorSet(rows.members(rows.dominators(h)[x]))
+        return DominatorSet(rows.members(rows.dominators(h[:i] + h[i + 1 :])[x]))
 
     if not all(h[j] for j in range(game.n) if j != i):
         return DominatorSet(game.carrier(i))
-    ranks = _ranks(game, *h, IntervalSet.point(x))
-    d = ranks.dominators(i, ranks.rank[x], [ranks.span(f) for f in h])
-    return DominatorSet(ranks.back(d))
+    ranks = _ranks(game, *h)
+    if not ranks.points[0] <= x <= ranks.points[-1]:
+        ranks = _ranks(game, *h, IntervalSet.point(x))
+    r = ranks.rank.get(x)
+    if r is None:  # in an open gap, every even rank of it gives the same set
+        r = (bisect_left(ranks.points, x) - 1) * ranks.width + ranks.width // 2
+    d = ranks.dominators(i, r, [ranks.span(f) for f in h])
+    # the own-coordinate ends of d, the only ones at rank r, go back to x
+    return DominatorSet(ranks.back(d, lambda t: x if t == r else ranks.coord(t)))
 
 
 def _region_where(
@@ -200,17 +205,18 @@ def _region_where(
     ends of the regions the reduction and conditions C and D ask for stay
     among the game's cut points, so they read its cached record.
     """
+    if isinstance(domain, frozenset):
+        key = h[:i] + h[i + 1 :]
+        if not all(key):
+            return frozenset()
+        rows = _finite_rows(game, i)
+        dom = rows.memo.get(key) or rows.dominators(key)
+        if member is None and not exclude_self:
+            return frozenset(filter(dom.__getitem__, domain))
+        keep, bit = -1 if member is None else rows.mask(member), rows.bit
+        return frozenset(x for x in domain if dom[x] & keep & ~(exclude_self and bit[x]))
     if not all(h[j] for j in range(game.n) if j != i):
         return domain - domain
-    if isinstance(domain, frozenset):
-        rows = _finite_rows(game, i)
-        dom = rows.dominators(h)
-        keep = -1 if member is None else rows.mask(member)
-        return frozenset(
-            x
-            for x in domain
-            if dom[x] & keep & ~(rows.bit[x] if exclude_self else 0)
-        )
     member = game.carrier(i) if member is None else member
     ranks = _ranks(game, *h, domain, member)
     spans, inside, beat = [ranks.span(f) for f in h], ranks.span(domain), ranks.span(member)

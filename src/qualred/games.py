@@ -13,7 +13,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from operator import xor
 from types import SimpleNamespace
 from typing import Iterator, Union
@@ -284,37 +284,51 @@ class _Ranks:
     every first witness, is the same on them; they go back to rationals
     only for witnesses, boxes and error text.
 
-    Per map, in prefs and comps: masks[j][r], the ``_PieceIndex`` mask at
-    rank r on axis j; per piece, the (coordinate, offset) of each value
+    A map's ``shape``: per piece, the (coordinate, offset) of each value
     end, coordinate n reading 0 so that a constant end is an offset; the
-    clip as a _Span; and per piece, its cell's factors as _Spans. axes[j]
-    holds player j's options for ``cells``.
+    clip as a _Span; and per piece, its cell's factors as _Spans. Built on
+    first read, as a snapshot (``lab.discretize``) reads shapes only: prefs
+    and comps, per map masks[j][r], the ``_PieceIndex`` mask at rank r on
+    axis j, then its shape; and axes[j], player j's options for ``cells``.
     """
 
     def __init__(self, game: Game, points: list[Fraction]):
-        self.points, self.width, self.slots = points, 4 * (game.n + 2), game.n + 1
+        self.game, self.points = game, points
+        self.width, self.slots = 4 * (game.n + 2), game.n + 1
         self.rank = {t: k * self.width for k, t in enumerate(points)}
         self.carriers = [game.carrier(j) for j in range(game.n)]
-        self.prefs = tuple(self._compile(game, c) for c in game.prefs)
-        self.comps = game.comps and tuple(self._compile(game, c) for c in game.comps)
-        self.axes = []
-        for carrier in self.carriers:
-            # (rank, rank of the gap's lower end, position in the gap), or
-            # (rank, -1, 0) at a point, in order
-            out = []
-            for a, b, _ in carrier.split(points):
+
+    @cached_property
+    def prefs(self) -> tuple:
+        return tuple(map(self._compile, self.game.prefs))
+
+    @cached_property
+    def comps(self) -> tuple | None:
+        return self.game.comps and tuple(map(self._compile, self.game.comps))
+
+    @cached_property
+    def axes(self) -> list[list[tuple[int, int, int]]]:
+        # (rank, rank of the gap's lower end, position in the gap), or
+        # (rank, -1, 0) at a point, in order
+        out: list[list[tuple[int, int, int]]] = [[] for _ in self.carriers]
+        for axis, carrier in zip(out, self.carriers):
+            for a, b, _ in carrier.split(self.points):
                 r = self.rank[a]
                 grid = [(r + 4 * k, r, k) for k in range(1, self.slots + 1)]
-                out += [(r, -1, 0)] if a == b else grid
-            self.axes.append(out)
+                axis += [(r, -1, 0)] if a == b else grid
+        return out
 
-    def _compile(self, game: Game, corr: PiecewiseMap) -> tuple:
-        index, n, w = _piece_index(game, corr), game.n, self.width
+    def _compile(self, corr: PiecewiseMap) -> tuple:
+        index, w = _piece_index(self.game, corr), self.width
         masks = []
         for cuts, seg in zip(index.cuts, index.masks):
             # the mask at point t (segment a + b) and on the gap above it (2b)
             bounds = [(bisect_left(cuts, t), bisect_right(cuts, t)) for t in self.points]
             masks.append([m for a, b in bounds for m in [seg[a + b]] + [seg[2 * b]] * (w - 1)])
+        return (masks, *self.shape(corr))
+
+    def shape(self, corr: PiecewiseMap) -> tuple:
+        n = self.game.n
 
         def end(e: EndpointExpr, offset: int) -> tuple[int, int]:
             if isinstance(e, Const):
@@ -328,7 +342,7 @@ class _Ranks:
             for v in (p.value for p in corr.pieces)
         ]
         factors = [tuple(map(self.span, p.cell.factors)) for p in corr.pieces]
-        return masks, ends, None if corr.clip is None else self.span(corr.clip), factors
+        return ends, None if corr.clip is None else self.span(corr.clip), factors
 
     def span(self, s: IntervalSet) -> _Span:
         rank = self.rank
@@ -336,16 +350,22 @@ class _Ranks:
             (rank[p.lo.value] + (not p.lo.closed), rank[p.hi.value] - (not p.hi.closed)) for p in s
         )
 
-    def back(self, parts) -> IntervalSet:
+    def back(self, parts, coord=None) -> IntervalSet:
         """The IntervalSet of rank parts, such as a _Span's: an even end is
-        closed at its rank, an odd one open at the even rank beside it."""
-        return IntervalSet.from_parts(
-            Interval(
-                Boundary(self.coord(lo - (lo & 1)), not lo & 1),
-                Boundary(self.coord(hi + (hi & 1)), not hi & 1),
-            )
-            for lo, hi in parts
-        )
+        closed at its rank, an odd one open at the even rank beside it, read
+        by coord (default ``coord``). Parts that overlap or meet at a rank
+        (lo <= last hi + 1) are merged as ints first, so it is canonical."""
+        coord, merged = coord or self.coord, []
+        for lo, hi in sorted(parts):
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+
+        def end(r: int, side: int) -> Boundary:  # side -1 at a lower end, 1 at an upper
+            return Boundary(coord(r + side * (r & 1)), not r & 1)
+
+        return IntervalSet(tuple(Interval(end(lo, -1), end(hi, 1)) for lo, hi in merged))
 
     def part(self, r: int) -> tuple[int, int]:
         """The rank part of the point at r, or of the open gap holding r."""

@@ -8,7 +8,6 @@ mapping where each law actually holds.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
@@ -16,6 +15,7 @@ import json
 import math
 import random
 import string
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -28,17 +28,17 @@ from .analysis import (
 from .dsl import serialize_game
 from .engine import Operator, Pairing, _finite_rows, render_pairing, restrict
 from .games import (
-    Coord,
     FiniteSpace,
     FiniteTable,
     Game,
     GameError,
-    SymInterval,
     UtilityTable,
+    _global_breakpoints,
     _piece_index,
+    _Ranks,
+    _Span,
     derive_pref_from_utility,
     eval_value,
-    piece_value,
 )
 from .reduction import ReductionTrace, star_reduce
 
@@ -172,89 +172,85 @@ def generate_game(config: GeneratorConfig) -> Game:
     )
 
 
-def _grid_runs(vals: list[Fraction], s) -> list[range]:
-    """Indices of the sorted grid vals in the interval set s, as nonempty runs."""
-    out: list[range] = []
-    for part in s:
-        a = bisect.bisect_left(vals, part.lo.value)
-        if a < len(vals) and vals[a] == part.lo.value and not part.lo.closed:
-            a += 1
-        b = bisect.bisect_right(vals, part.hi.value)
-        if b > 0 and vals[b - 1] == part.hi.value and not part.hi.closed:
-            b -= 1
-        if a < b:
-            out.append(range(a, b))
-    return out
-
-
 def discretize(game: Game, step) -> Game:
     """Finite snapshot of a continuum game on an even rational grid.
 
     The grid is refined with every piece-cell endpoint so no cell falls
     between grid points. Each table entry is the value eval_value gives at
-    the grid profile, cut down to the grid members it contains. Each table is
-    one flat list in product order, written piece by piece from the last, so
-    the first piece covering a profile wins, and one row slice of the last
-    coordinate at a time; a row is built once per tuple of the other
-    coordinates its value names. The first uncovered profile is reported.
+    the grid profile, cut down to the grid members it contains, read from
+    the shapes of a ``games._Ranks`` record over the grid and cut points:
+    cells, value ends and clips are int ranks, found in each axis of grid
+    ranks by int bisects. Each table is one flat list in product order,
+    written piece by piece from the last, so the first piece covering a
+    profile wins, and one row slice of the last coordinate at a time; a
+    row is built once per tuple of the other coordinates its value names.
+    Equal entries are one frozenset, shared by players on equal grids too.
+    The first uncovered profile is reported.
     """
     if game.is_finite:
         raise GameError("discretize needs interval spaces")
     step = Fraction(step)
     if step <= 0:
         raise GameError("grid step must be positive")
-    groups = [game.prefs]
-    if game.comps is not None:
-        groups.append(game.comps)
-    axes: list[list[Fraction]] = []
+    candidates: list[set[Fraction]] = []
     for j in range(game.n):
-        carrier = game.carrier(j)
         points: set[Fraction] = set()
-        for part in carrier.parts:
-            span = part.hi.value - part.lo.value
+        for part in game.carrier(j).parts:
+            lo, span = part.lo.value, part.hi.value - part.lo.value
             if span % step != 0:
-                raise GameError(
-                    f"grid step {step} does not divide the span of "
-                    f"{part.render()}"
-                )
-            k = 0
-            while part.lo.value + k * step <= part.hi.value:
-                points.add(part.lo.value + k * step)
-                k += 1
-        for group in groups:
-            for corr in group:
-                points.update(_piece_index(game, corr).cuts[j])
-        axes.append(sorted(p for p in points if carrier.contains(p)))
+                raise GameError(f"grid step {step} does not divide the span of {part.render()}")
+            points.update(lo + k * step for k in range(span // step + 1))
+        for corr in game.prefs + (game.comps or ()):
+            points.update(_piece_index(game, corr).cuts[j])
+        candidates.append(points)
+    ranks = _Ranks(game, sorted(set(_global_breakpoints(game)).union(*candidates)))
+    grid = [
+        sorted(r for r in map(ranks.rank.__getitem__, points) if r in carrier)
+        for points, carrier in zip(candidates, map(ranks.span, ranks.carriers))
+    ]
+    axes = [list(map(ranks.coord, g)) for g in grid]
     spaces = tuple(FiniteSpace(tuple(str(p) for p in ax)) for ax in axes)
     strides = [math.prod(map(len, axes[j + 1 :])) for j in range(game.n)]
+    n, shared = game.n, {}
+
+    def runs(j: int, span) -> list[range]:
+        """The indices of grid j in a rank span, as maximal nonempty runs."""
+        out: list[range] = []
+        for lo, hi in span:
+            a, b = bisect_left(grid[j], lo), bisect_right(grid[j], hi)
+            if a < b:
+                if out and out[-1].stop == a:
+                    a = out.pop().start
+                out.append(range(a, b))
+        return out
 
     def tabulate(corr, i: int) -> FiniteTable:
         labels = spaces[i].labels
+        sets = shared.setdefault(labels, {})  # players on equal grids share sets
+        ends, clip, cells = ranks.shape(corr)
         flat: list[frozenset[str] | None] = [None] * math.prod(map(len, axes))
-        for piece in reversed(corr.pieces):
-            v = piece.value
+        for (lj, lc, hj, hc), cell in zip(reversed(ends), reversed(cells)):
             # the value depends on the profile only through the coordinates
-            # its endpoints name, so a row only through the others it names
-            named = {
-                e.player - 1
-                for e in ((v.lo, v.hi) if isinstance(v, SymInterval) else ())
-                if isinstance(e, Coord)
-            }
-            keyed = sorted(named - {game.n - 1})
+            # its ends name, so a row only through the others it names
+            named = {lj, hj} - {n}
+            keyed = sorted(named - {n - 1})
             rows: dict[tuple[int, ...], list[frozenset[str]]] = {}
 
             def value(idx: tuple[int, ...]) -> frozenset[str]:
-                profile = tuple(ax[k] for ax, k in zip(axes, idx))
-                runs = _grid_runs(axes[i], piece_value(corr, piece, profile))
-                return frozenset().union(*(labels[run.start : run.stop] for run in runs))
+                z = (*map(list.__getitem__, grid, idx), 0)
+                span = ((z[lj] + lc, z[hj] + hc),)
+                key = tuple(runs(i, span if clip is None else _Span(span) & clip))
+                if key not in sets:
+                    sets[key] = frozenset().union(*[labels[r.start : r.stop] for r in key])
+                return sets[key]
 
-            *head, tail = [_grid_runs(ax, f) for ax, f in zip(axes, piece.cell.factors)]
-            for idx in itertools.product(*(itertools.chain(*runs) for runs in head)):
+            *head, tail = [runs(j, f) for j, f in enumerate(cell)]
+            for idx in itertools.product(*(itertools.chain(*r) for r in head)):
                 base = sum(k * s for k, s in zip(idx, strides))
                 for run in tail:
                     key = (run.start, *(idx[j] for j in keyed))
                     if key not in rows:
-                        if game.n - 1 in named:
+                        if n - 1 in named:
                             rows[key] = [value(idx + (k,)) for k in run]
                         else:
                             rows[key] = [value(idx + (run.start,))] * len(run)
@@ -266,17 +262,11 @@ def discretize(game: Game, step) -> Game:
         profiles = itertools.product(*(sp.labels for sp in spaces))
         return FiniteTable(i + 1, dict(zip(profiles, flat)))
 
-    prefs = tuple(tabulate(c, i) for i, c in enumerate(game.prefs))
-    comps = (
-        tuple(tabulate(c, i) for i, c in enumerate(game.comps))
-        if game.comps is not None
-        else None
-    )
     return Game(
         name=f"{game.name}-grid-{step}",
         spaces=spaces,
-        prefs=prefs,
-        comps=comps,
+        prefs=tuple(tabulate(c, i) for i, c in enumerate(game.prefs)),
+        comps=game.comps and tuple(tabulate(c, i) for i, c in enumerate(game.comps)),
     )
 
 
@@ -298,11 +288,14 @@ def enumerate_maximal_reductions(
 
     Exhaustive depth-first walk with memoized pairings; games larger than
     the bound (product of strategy counts) are refused. A pairing is held
-    as one int per player, bit k for game.labels(i)[k]; dominator masks
-    come from engine._FiniteRows, memoised per tuple of opponent masks.
-    A move removes one strategy the operator eliminates, by player and
-    label order; under DOUBLE, only while a dominator other than itself
-    survives. Pairings become frozensets only at the maximal ones.
+    as one int per player, bit k for game.labels(i)[k], and is marked seen
+    when pushed. Per player and tuple of opponent masks, a plan is memoised
+    from engine._FiniteRows' dominator masks: the moves, pairs (bit, mask a
+    dominator must meet) in label order, each removing the own strategy at
+    bit while the own mask meets its mask (under DOUBLE the dominator mask
+    less bit, else all ones); and the inclusion-minimal nonzero dominator
+    masks, all that condition D, every nonzero one meeting the own mask,
+    needs to test. Pairings become frozensets only at the maximal ones.
     """
     if not game.is_finite:
         raise GameError("enumeration needs finite spaces")
@@ -315,28 +308,39 @@ def enumerate_maximal_reductions(
         )
     rows = [_finite_rows(game, i) for i in range(game.n)]
     double = op is Operator.DOUBLE
-    seen: set[tuple[int, ...]] = set()
+    plans: list[dict[tuple[int, ...], tuple[list, list]]] = [{} for _ in rows]
+
+    def plan(i: int, opponents: tuple[int, ...]) -> tuple[list, list]:
+        dom = rows[i].at(opponents)
+        moves = [(1 << k, d & ~(1 << k) if double else -1) for k, d in enumerate(dom) if d]
+        masks = set(dom) - {0}
+        least = [d for d in masks if not any(e & d == e != d for e in masks)]
+        plans[i][opponents] = out = [m for m in moves if m[1]], least
+        return out
+
+    start = tuple((1 << len(r.labels)) - 1 for r in rows)
+    seen = {start}
     maximal: list[tuple[tuple[str, ...], ...]] = []  # labels in label order
     d_holds = True
-    stack = [tuple((1 << len(r.labels)) - 1 for r in rows)]
+    stack = [start]
     while stack:
         h = stack.pop()
-        if h in seen:
-            continue
-        seen.add(h)
         progressed = False
         for i, own in enumerate(h):
-            opponents = h[:i] + h[i + 1 :]
+            pre, post = h[:i], h[i + 1 :]
+            opponents = pre + post
             if not all(opponents):
                 continue
-            dom = rows[i].at(opponents)
+            moves, least = plans[i].get(opponents) or plan(i, opponents)
             if track_condition_D and d_holds:
-                d_holds = all(d & own or not d for d in dom)
-            for k, d in enumerate(dom):
-                bit = 1 << k
-                if own & bit and d & (own & ~bit if double else -1):
+                d_holds = all(map(own.__and__, least))
+            for bit, meet in moves:
+                if own & bit and own & meet:
                     progressed = True
-                    stack.append(h[:i] + (own & ~bit,) + h[i + 1 :])
+                    child = pre + (own ^ bit,) + post
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
         if not progressed:
             maximal.append(
                 tuple(tuple(s for s in r.labels if m & r.bit[s]) for r, m in zip(rows, h))

@@ -4,8 +4,9 @@ discretize fills each table as one flat list in product order, writing the
 pieces last to first and each piece's cell one row of the last coordinate
 at a time; these tests rebuild every table entry here from eval_value on
 the continuum game, on the fixtures, on restricted games (whose maps carry
-a clip), on seeded piecewise games, and on unvalidated maps whose pieces
-overlap, where the first covering piece must win.
+a clip), on seeded piecewise games, on players with unequal grids and ends
+off every grid, and on unvalidated maps whose pieces overlap, where the
+first covering piece must win. Equal entries must be one shared object.
 """
 
 import itertools
@@ -143,3 +144,58 @@ def test_discretize_later_piece_overlaps_part_of_a_row(n):
     assert table[low[:-1] + ("3/4",)] == frozenset({"3/4", "1"})
     if n == 3:
         assert table[("1", "3/4", "1/4")] == frozenset({"1/4", "1/2", "3/4", "1"})
+
+
+def test_discretize_unequal_axes_and_ends_off_the_grid():
+    # the players' carriers and grids differ; player 1's first value names
+    # x2 and its second a constant 5/7 on no grid and cutting no cell;
+    # player 2's map is clipped at 5/7, open, which is no cut either
+    game = parse_game(
+        """game "unequal"
+space 1 = interval [0,1]
+space 2 = interval [1/2,2]
+pref 1 piecewise:
+  when x2 in [1/2,1]: [x2, 1]
+  when x2 in (1,2]: (5/7, 1]
+pref 2 piecewise:
+  when x1 in [0,1/2]: [1/2, x2)
+  when x1 in (1/2,1]: [x1, 2]
+"""
+    )
+    clip = I(F(1, 2), F(5, 7), True, False).union(I(1, 2))
+    game = replace(game, prefs=(game.prefs[0], replace(game.prefs[1], clip=clip)))
+    snap = assert_tabulates(game, F(1, 4))
+    assert snap.labels(0) == ("0", "1/4", "1/2", "3/4", "1")
+    assert snap.labels(1) == ("1/2", "3/4", "1", "5/4", "3/2", "7/4", "2")
+    assert snap.prefs[0].table[("0", "3/4")] == frozenset({"3/4", "1"})
+    assert snap.prefs[0].table[("0", "3/2")] == frozenset({"3/4", "1"})
+    assert snap.prefs[1].table[("1/4", "3/2")] == frozenset({"1/2", "1", "5/4"})
+    assert snap.prefs[1].table[("3/4", "1/2")] == frozenset({"1", "5/4", "3/2", "7/4", "2"})
+
+
+@pytest.mark.parametrize(
+    "name, step", [("fx1.qg", F(1, 100)), ("fx4.qg", F(1, 10)), ("fx6-cross.qg", F(1, 12))]
+)
+def test_discretize_equal_entries_are_one_object(load_game, name, step):
+    snap = discretize(load_game(name), step)
+    tables = snap.prefs + (snap.comps or ())
+    for t in tables:
+        values = t.table.values()
+        assert len({id(v) for v in values}) == len(set(values)), t.player
+    # tables of players on equal grids share their entries too
+    for labels in {snap.labels(t.player - 1) for t in tables}:
+        same = [t for t in tables if snap.labels(t.player - 1) == labels]
+        values = [v for t in same for v in t.table.values()]
+        assert len({id(v) for v in values}) == len(set(values)), labels
+
+
+def test_discretize_shares_entries_a_clip_splits(load_game):
+    # player 1's clip drops 1/3, which is on no grid, so its values come in
+    # two parts where player 2's come whole; equal entries are one object
+    game = load_game("fx1.qg")
+    clip = I(0, F(1, 3), True, False).union(I(F(1, 3), 1, False, True))
+    game = replace(game, prefs=(replace(game.prefs[0], clip=clip), game.prefs[1]))
+    snap = assert_tabulates(game, F(1, 4))
+    split, whole = snap.prefs[0].table[("0", "0")], snap.prefs[1].table[("0", "0")]
+    assert split == whole == frozenset({"1/4", "1/2", "3/4", "1"})
+    assert split is whole

@@ -8,7 +8,8 @@ carry clips, the rank walk mapped back must be the order cells point for
 point, and the value of every map at rank profiles, mapped back, must be
 what eval_value gives at the rational profile. Profiles include the
 midpoints open-lower-sections probes and the half positions beside a
-coordinate, so every rank a scan can meet is covered.
+coordinate, so every rank a scan can meet is covered. Rank parts must go
+back to the IntervalSet that merging their rational intervals gives.
 """
 
 import itertools
@@ -122,3 +123,26 @@ def test_uncovered_profile_names_the_rationals():
         eval_value(game, gappy, (F(1, 2), F(0)))
     want = "profile ('1/2', '0') not covered by any piece"
     assert str(scanned.value) == str(direct.value) == want
+
+
+def _random_parts(rng: random.Random, top: int) -> list[tuple[int, int]]:
+    """A shuffled chain of rank parts up to top: each next part overlaps
+    the last, touches it at a rank or sits apart from it."""
+    parts, lo = [], rng.randint(0, 8)
+    while lo <= top and rng.random() < 0.8:
+        hi = min(top, lo + rng.choice([0, 0, 1, 2, 3, 7, 16]))
+        parts.append((lo, hi))
+        lo = max(0, hi + rng.choice([-2, 0, 1, 1, 2, 3, 5]))
+    rng.shuffle(parts)
+    return parts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_back_matches_merging_the_rational_parts(n):
+    rng = random.Random(20 + n)
+    for game in _games(n):
+        ranks = _ranks(game)
+        top = (len(ranks.points) - 1) * ranks.width
+        for _ in range(500):
+            parts = _random_parts(rng, top)
+            assert ranks.back(parts) == _rational(ranks, parts), (game.name, parts)
