@@ -56,8 +56,32 @@ def _with_coord(profile, i: int, y):
     return profile[:i] + (y,) + profile[i + 1 :]
 
 
+def _scan_players(game: Game, name: str, fault, reads) -> Verdict:
+    """Verdict name from fault(i, axes), player i's first witness on the
+    ``cells`` walk with coordinate j on axes[j], or None. Player i's verdict
+    depends only on the coordinates reads(i), so a walk that holds every
+    other coordinate j at its first rank (axes[j] = n + j, see
+    ``games._Ranks.axes``) and finds no fault decides it; one that faults
+    (or raises) is walked again over every carrier, which meets the first
+    witness of the full scan."""
+    n = game.n
+    every = list(range(n))
+    for i in every:
+        read = reads(i)
+        if len(read) < n:
+            try:
+                if fault(i, [j if j in read else n + j for j in every]) is None:
+                    continue
+            except GameError:
+                pass
+        witness = fault(i, every)
+        if witness is not None:
+            return Verdict(name, "fails", witness=witness)
+    return Verdict(name, "holds")
+
+
 def _check_property_T(game: Game, pair: bool) -> Verdict:
-    """One joint scan over [*range(n), i] per player i: each y in P_i(x)
+    """One joint scan of x and y per player i: each y in P_i(x)
     must have a set at x with y inside P_i(x). That set is the closure of
     P_i for the single check, and Q_i for the pair check, which also needs
     P_i(x) inside Q_i(x)."""
@@ -66,20 +90,23 @@ def _check_property_T(game: Game, pair: bool) -> Verdict:
         return Verdict(name, "not-checkable", note="game has no comparison map")
     scan = _scan(game)
     corrs = scan.comps if pair else scan.prefs
-    for i in range(game.n):
+
+    def fault(i: int, axes):
         x = None
-        for point in scan.cells([*range(game.n), i]):
+        for point in scan.cells([*axes, i]):
             if point[:-1] != x:
                 x = point[:-1]
                 px = scan.value(scan.prefs[i], x)
                 if pair and not px <= scan.value(corrs[i], x):
-                    return Verdict(name, "fails", witness=(i + 1, scan.profile(x), "P-not-in-Q"))
+                    return i + 1, scan.profile(x), "P-not-in-Q"
             y = point[-1]
             if y in px:
                 up = scan.value(corrs[i], _with_coord(x, i, y))
                 if not (up if pair else _closure(up)) <= px:
-                    return Verdict(name, "fails", witness=(i + 1, scan.profile(x), scan.coord(y)))
-    return Verdict(name, "holds")
+                    return i + 1, scan.profile(x), scan.coord(y)
+
+    reads = lambda i: scan.reads(scan.prefs[i]) | scan.reads(corrs[i]) | {i}
+    return _scan_players(game, name, fault, reads)
 
 
 def check_property_T_single(game: Game) -> Verdict:
@@ -102,11 +129,13 @@ def _check_pointwise(game: Game, name: str, bad, comps: bool = False) -> Verdict
         return Verdict(name, "not-checkable", note="game has no comparison map")
     scan = _scan(game)
     corrs = scan.comps if comps else scan.prefs
-    for i in range(game.n):
-        for x in scan.cells(list(range(game.n))):
+
+    def fault(i: int, axes):
+        for x in scan.cells(axes):
             if bad(i, x, scan.value(corrs[i], x)):
-                return Verdict(name, "fails", witness=(i + 1, scan.profile(x)))
-    return Verdict(name, "holds")
+                return i + 1, scan.profile(x)
+
+    return _scan_players(game, name, fault, lambda i: scan.reads(corrs[i]) | {i})
 
 
 def check_irreflexive(game: Game) -> Verdict:
@@ -143,11 +172,12 @@ def check_open_lower_sections(game: Game) -> Verdict:
         return Verdict(name, "holds", note="finite spaces are discrete")
     ranks = _ranks(game)
     carriers = [ranks.span(c) for c in ranks.carriers]
-    for i in range(game.n):
+
+    def fault(i: int, axes):
         for (y,) in ranks.cells([i]):
             # the points and y, each probed with the midpoints of the gaps
             # beside it, and those midpoints, in order; a midpoint of ranks
-            # is a rank
+            # is a rank. A coordinate held fixed is probed at its rank alone.
             cuts = sorted({*ranks.rank.values(), y})
             gaps = [(a, b, (a + b) // 2) for a, b in zip(cuts, cuts[1:])]
             near = {t: [t] for t in sorted(cuts + [m for *_, m in gaps])}
@@ -156,16 +186,18 @@ def check_open_lower_sections(game: Game) -> Verdict:
                 near[b].append(m)
             probe_opts = [
                 {t: [p for p in probes if p in c] for t, probes in near.items() if t in c}
-                for c in carriers
+                if a < game.n
+                else {r: [r] for r, *_ in ranks.axes[a]}
+                for a, c in zip(axes, carriers)
             ]
             for x in itertools.product(*probe_opts):
                 if y not in ranks.value(ranks.prefs[i], x):
                     continue
                 for probe in itertools.product(*(o[c] for o, c in zip(probe_opts, x))):
                     if y not in ranks.value(ranks.prefs[i], probe):
-                        witness = (i + 1, ranks.coord(y), ranks.profile(x))
-                        return Verdict(name, "fails", witness=witness)
-    return Verdict(name, "holds")
+                        return i + 1, ranks.coord(y), ranks.profile(x)
+
+    return _scan_players(game, name, fault, lambda i: ranks.reads(ranks.prefs[i]))
 
 
 def check_z_star(game: Game) -> Verdict:

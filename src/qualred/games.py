@@ -289,7 +289,9 @@ class _Ranks:
     clip as a _Span; and per piece, its cell's factors as _Spans. Built on
     first read, as a snapshot (``lab.discretize``) reads shapes only: prefs
     and comps, per map masks[j][r], the ``_PieceIndex`` mask at rank r on
-    axis j, then its shape; and axes[j], player j's options for ``cells``.
+    axis j, then its shape, then the coordinates it reads (``reads``); and
+    axes[j], player j's options for ``cells``, and axes[n + j] the first of
+    them alone, for a walk that holds coordinate j fixed.
     """
 
     def __init__(self, game: Game, points: list[Fraction]):
@@ -316,7 +318,7 @@ class _Ranks:
                 r = self.rank[a]
                 grid = [(r + 4 * k, r, k) for k in range(1, self.slots + 1)]
                 axis += [(r, -1, 0)] if a == b else grid
-        return out
+        return out + [axis[:1] for axis in out]
 
     def _compile(self, corr: PiecewiseMap) -> tuple:
         index, w = _piece_index(self.game, corr), self.width
@@ -325,7 +327,16 @@ class _Ranks:
             # the mask at point t (segment a + b) and on the gap above it (2b)
             bounds = [(bisect_left(cuts, t), bisect_right(cuts, t)) for t in self.points]
             masks.append([m for a, b in bounds for m in [seg[a + b]] + [seg[2 * b]] * (w - 1)])
-        return (masks, *self.shape(corr))
+        ends, clip, factors = self.shape(corr)
+        # a coordinate is read when its mask changes along its carrier or a
+        # value end names it; the map is constant along every other one
+        reads = {j for j, row in enumerate(masks) if len({row[r] for r, *_ in self.axes[j]}) > 1}
+        reads.update(j for e in ends for j in e[::2] if j < self.game.n)
+        return masks, ends, clip, factors, frozenset(reads)
+
+    @staticmethod
+    def reads(m: tuple) -> frozenset[int]:
+        return m[4]
 
     def shape(self, corr: PiecewiseMap) -> tuple:
         n = self.game.n
@@ -383,7 +394,7 @@ class _Ranks:
     def value(self, m: tuple, x: tuple) -> _Span:
         """Map m at the rank profile x: as eval_value, the lowest covering
         piece wins, and an uncovered profile raises the same GameError."""
-        masks, ends, clip, _ = m
+        masks, ends, clip, _, _ = m
         mask = -1
         for row, r in zip(masks, x):
             mask &= row[r]
@@ -410,7 +421,7 @@ class _Ranks:
         first rank: bot - (open | bot & 1). The own coordinate is read as
         the single rank x, and a constant end, which is its offset, as the
         single rank 0."""
-        masks, ends, clip, factors = self.prefs[i]
+        masks, ends, clip, factors, _ = self.prefs[i]
         d, own = self.span(self.carriers[i]), masks[i][x]
         for k, cell in enumerate(factors):
             if not own >> k & 1:
@@ -429,12 +440,13 @@ class _Ranks:
 
     def cells(self, players: list[int]):
         """One rank profile per order cell, in lexicographic order, with
-        coordinate k on the carrier of player players[k]. A cell fixes
-        which point, or which open gap between consecutive points, each
-        coordinate sits at, plus the weak order of the coordinates that
-        share a gap. Every check compares coordinates only with each other
-        and with the game's constants, so its truth is constant on each
-        cell (quantifier elimination for dense linear orders).
+        coordinate k on axes[players[k]] (the carrier of player players[k]
+        below n). A cell fixes which point, or which open gap between
+        consecutive points, each coordinate sits at, plus the weak order of
+        the coordinates that share a gap. Every check compares coordinates
+        only with each other and with the game's constants, so its truth is
+        constant on each cell (quantifier elimination for dense linear
+        orders).
 
         A gap offers the grid positions p = 4, 8, ..., 4(n + 1), enough
         for n + 1 coordinates. Yielded are the grid points least in their
@@ -489,11 +501,14 @@ def _scan(game: Game):
     """What the scans of ``analysis`` read, built on a game's first scan
     and cached in game._scan: the ``_Ranks`` of a continuum game over its
     cut points, or for a finite game a stand-in with its attributes over
-    the label profiles, whose values are eval_value's."""
+    the label profiles, whose values are eval_value's and whose maps read
+    every coordinate."""
     if game._scan is None and game.is_finite:
+        every = frozenset(range(game.n))
         game._scan = SimpleNamespace(
             prefs=game.prefs,
             comps=game.comps,
+            reads=lambda corr: every,
             cells=partial(_label_cells, game),
             value=partial(eval_value, game),
             coord=_same,

@@ -1,4 +1,5 @@
-"""Acceptance gate: ten scenario suites with wall-clock budgets.
+"""Acceptance gate: ten scenario suites with wall-clock budgets, and a
+scaling ceiling for the continuum checks.
 
 Each test prints one pass/fail line. Budgets are generous on purpose;
 the point is catching accidental blowups, not benchmarking.
@@ -9,7 +10,12 @@ import random
 import time
 from fractions import Fraction as F
 
-from qualred.analysis import check_preservation, maximal_elements
+from qualred.analysis import (
+    check_open_lower_sections,
+    check_preservation,
+    check_property_T_single,
+    maximal_elements,
+)
 from qualred.dsl import parse_game, serialize_game
 from qualred.engine import (
     Operator,
@@ -34,7 +40,7 @@ from qualred.reduction import (
     star_reduce,
 )
 
-from conftest import fixture_text
+from conftest import fixture_text, fx1_style_text
 
 I = IntervalSet.interval
 P = IntervalSet.point
@@ -237,3 +243,12 @@ def test_criterion_10(load_game):
         for name in CONTINUUM_FIXTURES:
             for step in (F(1, 10), F(1, 100)):
                 _grid_soundness(load_game(name), step)
+
+
+def test_plateau_checks_scale_with_the_coordinates_read():
+    # fx1-style with 4 players and 4 pieces each: every map reads its own
+    # coordinate only, so neither walk grows with the other three
+    for num, check in ((11, check_property_T_single), (12, check_open_lower_sections)):
+        game = parse_game(fx1_style_text(4, 4))
+        with criterion(num, f"{check.__name__} on fx1-style n=4, m=4", 1.0):
+            assert check(game).status == "holds"

@@ -84,14 +84,16 @@ def test_golden_report(name, argv, code, tmp_path, monkeypatch):
     assert got == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("hash_seed", ["1", "2"])
-def test_fuzz_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
-    # the in-process cases above run under one hash seed per pytest run
+def _run_under_hash_seed(hash_seed: str, names: set[str], tmp_path: Path) -> None:
+    """Run the named cases as CLI processes under the hash seed and compare
+    their reports with the golden files; the in-process cases above run
+    under one hash seed per pytest run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "QUALRED_COLOR"}
     env.update(PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    assert names <= {name for name, *_ in CASES}
     for name, argv, code in CASES:
-        if argv[0] != "fuzz":
+        if name not in names:
             continue
         report = tmp_path / name
         proc = subprocess.run(
@@ -103,6 +105,18 @@ def test_fuzz_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
         )
         assert proc.returncode == code, proc.stderr
         assert report.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_fuzz_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    names = {name for name, argv, _ in CASES if argv[0] == "fuzz"}
+    _run_under_hash_seed(hash_seed, names, tmp_path)
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_reports_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    names = {"check-fx4.json", "maximal-fx4.json", "preserve-fxf1.json", "reduce-fx1.json"}
+    _run_under_hash_seed(hash_seed, names, tmp_path)
 
 
 if __name__ == "__main__":
