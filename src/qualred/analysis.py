@@ -92,13 +92,16 @@ def _check_property_T(game: Game, pair: bool) -> Verdict:
     corrs = scan.comps if pair else scan.prefs
 
     def fault(i: int, axes):
-        x = None
-        for point in scan.cells([*axes, i]):
+        x, walk = None, scan.cells([*axes, i])
+        for point in walk:
             if point[:-1] != x:
                 x = point[:-1]
                 px = scan.value(scan.prefs[i], x)
                 if pair and not px <= scan.value(corrs[i], x):
                     return i + 1, scan.profile(x), "P-not-in-Q"
+                if not px:  # no y of this x can fault
+                    scan.skip(walk)
+                    continue
             y = point[-1]
             if y in px:
                 up = scan.value(corrs[i], _with_coord(x, i, y))
@@ -170,7 +173,7 @@ def check_open_lower_sections(game: Game) -> Verdict:
     name = "open-lower-sections"
     if game.is_finite:
         return Verdict(name, "holds", note="finite spaces are discrete")
-    ranks = _ranks(game)
+    ranks = _scan(game)
     carriers = [ranks.span(c) for c in ranks.carriers]
 
     def fault(i: int, axes):
@@ -327,8 +330,7 @@ def _continuum_regions(game: Game, h: Pairing):
     cells, cut at h's endpoints too, decides both. A union of boxes holds
     each product cell (a constant or open gap on every axis) wholly or not
     at all; a region that splits one, like x1 >= x2, raises GameError."""
-    ranks = _ranks(game, *h)
-    kept = [ranks.span(f) for f in h]
+    ranks, kept = _ranks(game, *h)
     cells: dict[tuple, tuple[bool, bool]] = {}
     first: dict[tuple[bool, bool], tuple] = {}
     for x in ranks.cells(list(range(game.n))):

@@ -164,9 +164,10 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     An empty opponent factor makes the condition vacuous: the result is the
     full ambient space. Elimination operators guard against that case
     themselves and eliminate nothing. A continuum set is decided at x's
-    rank, or at an even rank of x's gap, in the game's cached record (see
-    ``games._Ranks.dominators``), or in a one-off record, not cached, over
-    the ends of h too when some are off its points or x lies past them.
+    rank, or at an even rank of x's gap, by ``games._Ranks.dominators``,
+    as regions are, in the game's cached record, or in a one-off record,
+    not cached, over the ends of h too when some are off its points or x
+    lies past them.
     """
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
@@ -175,13 +176,13 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
 
     if not all(h[j] for j in range(game.n) if j != i):
         return DominatorSet(game.carrier(i))
-    ranks = _ranks(game, *h)
+    ranks, spans = _ranks(game, *h)
     if not ranks.points[0] <= x <= ranks.points[-1]:
-        ranks = _ranks(game, *h, IntervalSet.point(x))
-    r = ranks.rank.get(x)
+        ranks, (*spans, _) = _ranks(game, *h, IntervalSet.point(x))
+    r = ranks.rank.get(x.as_integer_ratio())
     if r is None:  # in an open gap, every even rank of it gives the same set
         r = (bisect_left(ranks.points, x) - 1) * ranks.width + ranks.width // 2
-    d = ranks.dominators(i, r, [ranks.span(f) for f in h])
+    d = ranks.dominators(i, spans)(r)
     # the own-coordinate ends of d, the only ones at rank r, go back to x
     return DominatorSet(ranks.back(d, lambda t: x if t == r else ranks.coord(t)))
 
@@ -199,11 +200,13 @@ def _region_where(
     The condition: dominator set of x over the opponents in h, optionally
     intersected with member (minus x itself when exclude_self), nonempty.
     An empty opponent factor yields the empty region. On a continuum
-    game the condition is constant at each point of
-    ``games._ranks(game, *h, domain, member)`` and on each gap between
-    them (see _global_breakpoints), so one rank of each decides it. The
-    ends of the regions the reduction and conditions C and D ask for stay
-    among the game's cut points, so they read its cached record.
+    game the condition is constant at each point of the record
+    ``games._ranks`` gives for h, domain and member, and on each gap
+    between them (see _global_breakpoints), so one rank of each in the
+    domain decides it, tested against the dominator sets of one
+    ``games._Ranks.dominators`` call. The ends of the regions the
+    reduction and conditions C and D ask for stay among the game's cut
+    points, so they read its cached record.
     """
     if isinstance(domain, frozenset):
         key = h[:i] + h[i + 1 :]
@@ -218,15 +221,16 @@ def _region_where(
     if not all(h[j] for j in range(game.n) if j != i):
         return domain - domain
     member = game.carrier(i) if member is None else member
-    ranks = _ranks(game, *h, domain, member)
-    spans, inside, beat = [ranks.span(f) for f in h], ranks.span(domain), ranks.span(member)
+    ranks, (*spans, inside, beat) = _ranks(game, *h, domain, member)
+    dominators = ranks.dominators(i, spans, beat)
 
     def holds(t: int) -> bool:
-        d = ranks.dominators(i, t, spans) & beat
+        d = dominators(t)
         return any(p != (t, t) for p in d) if exclude_self else bool(d)
 
-    tests = range(0, len(ranks.points) * ranks.width, ranks.width // 2)  # points and gaps
-    return ranks.back(ranks.part(t) for t in tests if t in inside and holds(t))
+    half = ranks.width // 2  # a test at each point (k * width) and in each gap (+ half)
+    tests = (t for lo, hi in inside for t in range(lo + -lo % half, hi + 1, half))
+    return ranks.back(ranks.part(t) for t in tests if holds(t))
 
 
 def eliminated_region(game: Game, h: Pairing, i: int, op: Operator) -> Factor:

@@ -282,7 +282,9 @@ class _Ranks:
     end has an even rank too. Ranks relabel the line monotonically and
     injectively, so every comparison a scan makes, hence every verdict and
     every first witness, is the same on them; they go back to rationals
-    only for witnesses, boxes and error text.
+    only for witnesses, boxes and error text. ``rank`` maps each point,
+    keyed by its ``as_integer_ratio()``, to its rank: looking up a
+    (numerator, denominator) tuple costs a tenth of hashing a Fraction.
 
     A map's ``shape``: per piece, the (coordinate, offset) of each value
     end, coordinate n reading 0 so that a constant end is an offset; the
@@ -291,13 +293,14 @@ class _Ranks:
     and comps, per map masks[j][r], the ``_PieceIndex`` mask at rank r on
     axis j, then its shape, then the coordinates it reads (``reads``); and
     axes[j], player j's options for ``cells``, and axes[n + j] the first of
-    them alone, for a walk that holds coordinate j fixed.
+    them alone, for a walk that holds coordinate j fixed. ``dominators``
+    decides dominance on the compiled prefs, and ``skip`` prunes a walk.
     """
 
     def __init__(self, game: Game, points: list[Fraction]):
         self.game, self.points = game, points
         self.width, self.slots = 4 * (game.n + 2), game.n + 1
-        self.rank = {t: k * self.width for k, t in enumerate(points)}
+        self.rank = {t.as_integer_ratio(): k * self.width for k, t in enumerate(points)}
         self.carriers = [game.carrier(j) for j in range(game.n)]
 
     @cached_property
@@ -315,7 +318,7 @@ class _Ranks:
         out: list[list[tuple[int, int, int]]] = [[] for _ in self.carriers]
         for axis, carrier in zip(out, self.carriers):
             for a, b, _ in carrier.split(self.points):
-                r = self.rank[a]
+                r = self.rank[a.as_integer_ratio()]
                 grid = [(r + 4 * k, r, k) for k in range(1, self.slots + 1)]
                 axis += [(r, -1, 0)] if a == b else grid
         return out + [axis[:1] for axis in out]
@@ -343,7 +346,7 @@ class _Ranks:
 
         def end(e: EndpointExpr, offset: int) -> tuple[int, int]:
             if isinstance(e, Const):
-                return n, self.rank[e.value] + offset
+                return n, self.rank[e.value.as_integer_ratio()] + offset
             return e.player - 1, offset
 
         ends = [
@@ -358,7 +361,11 @@ class _Ranks:
     def span(self, s: IntervalSet) -> _Span:
         rank = self.rank
         return _Span(
-            (rank[p.lo.value] + (not p.lo.closed), rank[p.hi.value] - (not p.hi.closed)) for p in s
+            (
+                rank[p.lo.value.as_integer_ratio()] + (not p.lo.closed),
+                rank[p.hi.value.as_integer_ratio()] - (not p.hi.closed),
+            )
+            for p in s
         )
 
     def back(self, parts, coord=None) -> IntervalSet:
@@ -406,10 +413,11 @@ class _Ranks:
         v = _Span(((lo, hi),) if lo <= hi else ())
         return v if clip is None else v & clip
 
-    def dominators(self, i: int, x: int, spans: list[_Span]) -> _Span:
-        """Player i's dominator set at the even rank x: the intersection of
-        P_i over every opponent profile in spans, one per player, those of
-        the opponents nonempty. Each piece whose cell holds x and meets them
+    def dominators(self, i: int, spans: list[_Span], member: _Span | None = None):
+        """Player i's dominator sets against spans, one per player, those of
+        the opponents nonempty: the function from an even rank x to the
+        intersection of P_i over every opponent profile in spans, with i at
+        x, cut to member. Each piece whose cell holds x and meets them
         bounds it by its value, an end naming opponent j standing for the
         sup (lower end) or inf (upper end) of the piece's factor j cut to
         spans[j]. y > s for every s in S means y > sup S when S attains it
@@ -418,25 +426,33 @@ class _Ranks:
         attained, one below it when not), that bound is top + 1 for an open
         end and top rounded up to even for a closed one:
         top + (open | top & 1). Upper ends are dual, with bot the factor's
-        first rank: bot - (open | bot & 1). The own coordinate is read as
-        the single rank x, and a constant end, which is its offset, as the
-        single rank 0."""
+        first rank: bot - (open | bot & 1). A constant end is its offset, an
+        end naming i is x plus its offset. Only x's own mask and the ends
+        naming i depend on x, so the cuts and the rounding are done here,
+        once, and each x costs an int max and min over the live pieces."""
         masks, ends, clip, factors, _ = self.prefs[i]
-        d, own = self.span(self.carriers[i]), masks[i][x]
+        base = self.span(self.carriers[i])
+        for s in (clip, member):
+            base = base if s is None else base & s
+        zero = ((0, 0),)  # the own coordinate and the constants read 0 here
+        live = []  # per piece meeting the opponents: its bit and its bounds at x = 0
         for k, cell in enumerate(factors):
-            if not own >> k & 1:
-                continue
-            cut = [f & s for f, s in zip(cell, spans)]
-            cut[i] = ((x, x),)
-            if not all(cut):
-                continue
-            cut.append(((0, 0),))
-            lj, lc, hj, hc = ends[k]
-            top, bot = cut[lj][-1][1], cut[hj][0][0]
-            d &= _Span(((top + (lc | top & 1), bot - (-hc | bot & 1)),))
-            if not d:
-                break
-        return d if clip is None else d & clip
+            cut = [f & s for f, s in zip(cell, spans)] + [zero]
+            cut[i] = zero
+            if all(cut):
+                lj, lc, hj, hc = ends[k]
+                top, bot = cut[lj][-1][1], cut[hj][0][0]
+                live.append((1 << k, top + (lc | top & 1), lj == i, bot - (-hc | bot & 1), hj == i))
+        own, end = masks[i], len(self.points) * self.width
+
+        def at(x: int) -> _Span:
+            lo, hi, mask = 0, end, own[x]
+            for bit, a, ax, b, bx in live:
+                if mask & bit:
+                    lo, hi = max(lo, a + ax * x), min(hi, b + bx * x)
+            return base & _Span(((lo, hi),))
+
+        return at
 
     def cells(self, players: list[int]):
         """One rank profile per order cell, in lexicographic order, with
@@ -473,8 +489,9 @@ class _Ranks:
                     if not count[g][k]:  # fills a hole, or opens those up to k
                         now += k - high - 1 if k > high else -1
                 if t == last:
-                    if not now:
-                        yield (*point, r)
+                    if not now and (yield (*point, r)):  # sent by skip
+                        yield  # what send returns
+                        break
                 elif now < last - t + 1:
                     if k:
                         count[g][k] += 1
@@ -487,6 +504,12 @@ class _Ranks:
                         top[g] = high
 
         return walk(0, 0)
+
+    @staticmethod
+    def skip(walk) -> None:
+        """Drop the options of the last coordinate still ahead of the cells
+        walk ``walk`` for the prefix of the point it yielded last."""
+        walk.send(True)
 
 
 def _same(t):
@@ -509,6 +532,7 @@ def _scan(game: Game):
             prefs=game.prefs,
             comps=game.comps,
             reads=lambda corr: every,
+            skip=_same,  # a product walk goes on: skipped points never fault
             cells=partial(_label_cells, game),
             value=partial(eval_value, game),
             coord=_same,
@@ -519,12 +543,16 @@ def _scan(game: Game):
     return game._scan
 
 
-def _ranks(game: Game, *sets: IntervalSet) -> _Ranks:
-    """The ``_Ranks`` of a continuum game (see ``_scan``); when the ends of
-    the sets are not all among its points, one over both, not cached."""
+def _ranks(game: Game, *sets: IntervalSet) -> tuple[_Ranks, list[_Span]]:
+    """The ``_Ranks`` of a continuum game (see ``_scan``) and the sets as
+    _Spans in it; when the ends of the sets are not all among its points,
+    a record over both, not cached."""
     ranks = _scan(game)
-    ends = {e for s in sets for e in s.endpoints()}
-    return ranks if ends <= ranks.rank.keys() else _Ranks(game, sorted(ends.union(ranks.points)))
+    try:
+        return ranks, [ranks.span(s) for s in sets]
+    except KeyError:  # an end off the points
+        ranks = _Ranks(game, sorted({e for s in sets for e in s.endpoints()}.union(ranks.points)))
+        return ranks, [ranks.span(s) for s in sets]
 
 
 def eval_value(game: Game, corr: CorrMap, profile: Profile):

@@ -205,7 +205,7 @@ def discretize(game: Game, step) -> Game:
         candidates.append(points)
     ranks = _Ranks(game, sorted(set(_global_breakpoints(game)).union(*candidates)))
     grid = [
-        sorted(r for r in map(ranks.rank.__getitem__, points) if r in carrier)
+        sorted(r for t in points if (r := ranks.rank[t.as_integer_ratio()]) in carrier)
         for points, carrier in zip(candidates, map(ranks.span, ranks.carriers))
     ]
     axes = [list(map(ranks.coord, g)) for g in grid]

@@ -15,7 +15,7 @@ import pytest
 from qualred.analysis import check_hypotheses
 from qualred.dsl import parse_game
 from qualred.engine import full_pairing, restrict
-from qualred.games import _global_breakpoints, _ranks, eval_value
+from qualred.games import _global_breakpoints, _scan, eval_value
 from qualred.intervals import IntervalSet
 
 INTERIOR = [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
@@ -243,7 +243,7 @@ def test_order_cells_are_the_least_grid_points(seed, n):
         orders = [list(range(n))]
         if n == 2:
             orders += [[0, 1, 0], [0, 1, 1]]
-        ranks = _ranks(g)
+        ranks = _scan(g)
         for players in orders:
             cells = map(ranks.profile, ranks.cells(players))
             assert list(cells) == brute_order_cells(g, players), players

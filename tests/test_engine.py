@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qualred.analysis import check_condition_C, check_condition_D
 from qualred.dsl import parse_game
 from qualred.engine import (
     Operator,
@@ -13,8 +14,9 @@ from qualred.engine import (
     render_pairing,
     restrict,
 )
-from qualred.games import eval_value
+from qualred.games import _scan, eval_value
 from qualred.intervals import IntervalSet
+from qualred.reduction import star_reduce
 
 I = IntervalSet.interval
 P = IntervalSet.point
@@ -133,3 +135,19 @@ def test_pairing_render_and_subset(load_game):
     assert render_pairing(g, h) == {"1": "[0,1]", "2": "[0,1]"}
     assert all(a <= b for a, b in zip((P(1), P(1)), h))
     assert not all(a <= b for a, b in zip(h, (P(1), P(1))))
+
+
+@pytest.mark.parametrize("name", ["fx1.qg", "fx4.qg"])
+def test_warm_regions_hash_no_fraction(load_game, name, monkeypatch):
+    """Regions look pairing ends up by (numerator, denominator) in a warm
+    record: reductions and conditions C and D hash no Fraction."""
+    g = load_game(name)
+    _scan(g).prefs  # compiles the record
+    hashed = []
+    real = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda f: hashed.append(f) or real(f))
+    for op in Operator:
+        for h in star_reduce(g, op).stages:
+            check_condition_C(g, h)
+            check_condition_D(g, h)
+    assert hashed == []

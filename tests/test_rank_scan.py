@@ -9,7 +9,8 @@ point, and the value of every map at rank profiles, mapped back, must be
 what eval_value gives at the rational profile. Profiles include the
 midpoints open-lower-sections probes and the half positions beside a
 coordinate, so every rank a scan can meet is covered. Rank parts must go
-back to the IntervalSet that merging their rational intervals gives.
+back to the IntervalSet that merging their rational intervals gives, and
+a walk told to skip must drop exactly the rest of the current prefix.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from qualred.games import (
     Piece,
     PiecewiseMap,
     _global_breakpoints,
-    _ranks,
+    _scan,
     eval_value,
 )
 from qualred.intervals import Boundary, Interval, IntervalSet
@@ -67,7 +68,7 @@ def _maps(game, ranks):
 @pytest.mark.parametrize("n", [2, 3])
 def test_rank_walk_maps_back_to_the_order_cells(n):
     for game in _games(n):
-        ranks = _ranks(game)
+        ranks = _scan(game)
         assert ranks.points == _global_breakpoints(game)
         orders = [list(range(n))] + [[*range(n), i] for i in range(n)]
         for players in orders + [[i] for i in range(n)]:
@@ -90,7 +91,7 @@ def _rank_axis(ranks, j: int) -> list[int]:
 def test_rank_values_match_eval_value(n):
     rng = random.Random(n)
     for game in _games(n):
-        ranks = _ranks(game)
+        ranks = _scan(game)
         axes = [_rank_axis(ranks, j) for j in range(n)]
         profiles = list(itertools.product(*axes))
         if len(profiles) > 1000:
@@ -104,11 +105,11 @@ def test_rank_values_match_eval_value(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_ranks_keep_the_order_of_the_rationals(n):
     for game in _games(n):
-        ranks = _ranks(game)
+        ranks = _scan(game)
         top = (len(ranks.points) - 1) * ranks.width
         line = [ranks.coord(r) for r in range(top + 1)]
         assert line == sorted(set(line))
-        assert [ranks.coord(ranks.rank[t]) for t in ranks.points] == ranks.points
+        assert [ranks.coord(ranks.rank[t.as_integer_ratio()]) for t in ranks.points] == ranks.points
 
 
 def test_uncovered_profile_names_the_rationals():
@@ -141,8 +142,30 @@ def _random_parts(rng: random.Random, top: int) -> list[tuple[int, int]]:
 def test_back_matches_merging_the_rational_parts(n):
     rng = random.Random(20 + n)
     for game in _games(n):
-        ranks = _ranks(game)
+        ranks = _scan(game)
         top = (len(ranks.points) - 1) * ranks.width
         for _ in range(500):
             parts = _random_parts(rng, top)
             assert ranks.back(parts) == _rational(ranks, parts), (game.name, parts)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_skip_drops_the_rest_of_its_prefix(n):
+    """After skip, a walk goes on at the next prefix: it yields the full
+    walk minus the points after each skipped point that share its prefix."""
+    rng, skips = random.Random(30 + n), 0
+    for game in _games(n):
+        ranks = _scan(game)
+        for players in [list(range(n))] + [[*range(n), i] for i in range(n)]:
+            walk, got, skipped = ranks.cells(players), [], set()
+            for point in walk:
+                got.append(point)
+                if rng.random() < 0.3:
+                    skipped.add(point)
+                    ranks.skip(walk)
+            full = list(ranks.cells(players))
+            cut = {p[:-1]: p for p in sorted(skipped, reverse=True)}  # its first skip
+            want = [p for p in full if p[:-1] not in cut or p <= cut[p[:-1]]]
+            assert got == want, (game.name, players)
+            skips += len(skipped)
+    assert skips > 100

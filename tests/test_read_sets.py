@@ -8,7 +8,8 @@ sliding a coordinate outside a map's read set over every cut point and
 one point inside each gap never changes its value, and every coordinate
 a value end names is read. Then every check, with its walks projected,
 must give the verdict and witness of the walk over all coordinates, got
-by reporting every coordinate as read.
+by reporting every coordinate as read, and property T must give the
+same verdicts when it skips nothing.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from qualred.analysis import HYPOTHESIS_CHECKS
+from qualred.analysis import HYPOTHESIS_CHECKS, check_property_T_pair, check_property_T_single
 from qualred.dsl import parse_game
 from qualred.games import Coord, SymInterval, _Ranks, _scan, eval_value
 from test_rank_scan import _games, _maps
@@ -118,3 +119,17 @@ def test_projected_verdicts_equal_the_full_walk(game, monkeypatch):
     projected = _verdicts(game)
     monkeypatch.setattr(_Ranks, "reads", staticmethod(lambda m: frozenset(range(len(m[0])))))
     assert _verdicts(game) == projected
+
+
+@pytest.mark.parametrize("game", list(_corpus()), ids=lambda g: g.name)
+def test_property_T_skips_change_no_verdict(game, monkeypatch):
+    """Property T drops the y options of an x whose P_i(x) is empty; the
+    walk that skips nothing must give the same status and witness."""
+    checks = [check_property_T_single, check_property_T_pair]
+    skips, skip = [], _Ranks.skip
+    monkeypatch.setattr(_Ranks, "skip", staticmethod(lambda walk: skips.append(skip(walk))))
+    pruned = [check(game).to_dict() for check in checks]
+    if game.name.startswith("fx1-style"):  # P_i(x) is empty at x_i = 1
+        assert skips
+    monkeypatch.setattr(_Ranks, "skip", staticmethod(lambda walk: None))
+    assert [check(game).to_dict() for check in checks] == pruned
