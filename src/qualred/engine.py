@@ -166,19 +166,21 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     themselves and eliminate nothing. A continuum set is decided at x's
     rank, or at an even rank of x's gap, by ``games._Ranks.dominators``,
     as regions are, in the game's cached record, or in a one-off record,
-    not cached, over the ends of h too when some are off its points or x
-    lies past them.
+    not cached, over the ends of h too when some are off its points. A
+    strategy outside the player's space raises GameError.
     """
     corr = game.prefs[i]
     if isinstance(corr, FiniteTable):
+        if x not in game.labels(i):
+            raise GameError(f"strategy {x} is not in player {i + 1}'s space")
         rows = _finite_rows(game, i)
         return DominatorSet(rows.members(rows.dominators(h[:i] + h[i + 1 :])[x]))
 
+    if not game.carrier(i).contains(x):
+        raise GameError(f"strategy {x} is not in player {i + 1}'s space")
     if not all(h[j] for j in range(game.n) if j != i):
         return DominatorSet(game.carrier(i))
     ranks, spans = _ranks(game, *h)
-    if not ranks.points[0] <= x <= ranks.points[-1]:
-        ranks, (*spans, _) = _ranks(game, *h, IntervalSet.point(x))
     r = ranks.rank.get(x.as_integer_ratio())
     if r is None:  # in an open gap, every even rank of it gives the same set
         r = (bisect_left(ranks.points, x) - 1) * ranks.width + ranks.width // 2
@@ -233,10 +235,17 @@ def _region_where(
     return ranks.back(ranks.part(t) for t in tests if holds(t))
 
 
+def condition_region(game: Game, h: Pairing, i: int, op: Operator, domain: Factor) -> Factor:
+    """Subset of domain meeting the operator's own condition at h: a
+    nonempty dominator set over the opponents in h, which for DOUBLE must
+    meet the player's current set h[i]."""
+    member = h[i] if op is Operator.DOUBLE else None
+    return _region_where(game, h, i, domain=domain, member=member)
+
+
 def eliminated_region(game: Game, h: Pairing, i: int, op: Operator) -> Factor:
     """Strategies of player i in h that the operator removes in one pass."""
-    member = h[i] if op is Operator.DOUBLE else None
-    return _region_where(game, h, i, domain=h[i], member=member)
+    return condition_region(game, h, i, op, h[i])
 
 
 def restrict(game: Game, h: Pairing) -> Game:

@@ -206,11 +206,6 @@ class IntervalSet:
             for a in self.parts
         )
 
-    def complement_within(self, carrier: "IntervalSet") -> "IntervalSet":
-        if not self.is_subset(carrier):
-            raise ValueError("set is not contained in the carrier")
-        return carrier.difference(self)
-
     def closure(self) -> "IntervalSet":
         closed = [
             Interval(Boundary(p.lo.value, True), Boundary(p.hi.value, True))

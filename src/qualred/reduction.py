@@ -11,7 +11,8 @@ removed strategy itself), so strategies removed together may lean on one
 another. Each executed step also records an audit flag telling whether
 the removals satisfy the operator's condition re-evaluated purely on the
 produced pairing; simultaneous removals that prop each other up show up
-there as a False.
+there as a False. The fast reduction judges each stage once per player,
+and a step's audit is read off the next stage's judgement.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 
 from .games import Game, GameError
 from .intervals import IntervalSetParseError, parse_interval_set
@@ -26,6 +28,7 @@ from .engine import (
     Factor,
     Operator,
     Pairing,
+    condition_region,
     eliminated_region,
     factor_pick,
     full_pairing,
@@ -41,11 +44,14 @@ class TraceStatus(Enum):
 
 @dataclass
 class ReductionTrace:
+    """Stages, one audit per step and, on a path, one validity flag per
+    step. ``eliminated`` is derived from the stages: every removal lies in
+    the current set, so step t removed stages[t] - stages[t + 1]."""
+
     game_name: str
     op: Operator
     kind: str  # "fast" or "path"
     stages: tuple[Pairing, ...]
-    eliminated: tuple[tuple[Factor, ...], ...]
     status: TraceStatus
     fast_condition_audit: tuple[bool, ...]
     path_valid: tuple[bool, ...] | None = None
@@ -53,6 +59,11 @@ class ReductionTrace:
     @property
     def final(self) -> Pairing:
         return self.stages[-1]
+
+    @property
+    def eliminated(self) -> tuple[tuple[Factor, ...], ...]:
+        steps = zip(self.stages, self.stages[1:])
+        return tuple(tuple(map(sub, pre, post)) for pre, post in steps)
 
 
 class InvalidRemoval(GameError):
@@ -69,64 +80,53 @@ class PathScriptError(GameError):
 
 
 def _step_region(
-    game: Game, pre: Pairing, post: Pairing, i: int, removed: Factor, op: Operator,
-    audit: bool = False,
+    game: Game, pre: Pairing, post: Pairing, i: int, removed: Factor, op: Operator
 ) -> Factor:
-    """Part of a removal set meeting the operator's path condition, or with
-    audit on, the literal operator condition on the produced pairing."""
+    """Part of a removal set meeting the operator's path condition."""
     if op is not Operator.DOUBLE:
-        at = pre if op is Operator.ARROW and not audit else post
+        at = pre if op is Operator.ARROW else post
         return _region_where(game, at, i, domain=removed)
-    if audit:
-        return _region_where(game, post, i, domain=removed, member=post[i])
-    return _region_where(
-        game, post, i, domain=removed, member=pre[i], exclude_self=True
-    )
+    return _region_where(game, post, i, domain=removed, member=pre[i], exclude_self=True)
 
 
-def _audit_step(
-    game: Game, post: Pairing, removals: dict[int, Factor], op: Operator, pre: Pairing
-) -> bool:
+def _audit_step(game: Game, post: Pairing, removals: dict[int, Factor], op: Operator) -> bool:
     """Literal operator condition on the produced pairing, per removed point."""
     return all(
-        removed <= _step_region(game, pre, post, i, removed, op, audit=True)
+        removed <= condition_region(game, post, i, op, removed)
         for i, removed in removals.items()
         if removed
     )
 
 
-def fast_step(
-    game: Game, h: Pairing, op: Operator
-) -> tuple[Pairing, tuple[Factor, ...], bool]:
-    """Remove every currently eliminable strategy of every player at once."""
-    removed = tuple(eliminated_region(game, h, i, op) for i in range(game.n))
-    new = tuple(h[i] - removed[i] for i in range(game.n))
-    return new, removed, _audit_step(game, new, dict(enumerate(removed)), op, pre=h)
-
-
 def star_reduce(game: Game, op: Operator, max_iters: int = 1000) -> ReductionTrace:
-    """Iterate fast steps to a fixpoint, an empty factor, or the cap."""
-    stages = [full_pairing(game)]
-    eliminated: list[tuple[Factor, ...]] = []
+    """Iterate fast steps to a fixpoint, an empty factor, or the cap.
+
+    Each stage is judged once per player, over the set the player held
+    before the step: the step's audit is read off that judgement, and so
+    are the next stage's removals.
+    """
+    h = full_pairing(game)
+    removed = tuple(eliminated_region(game, h, i, op) for i in range(game.n))
+    stages = [h]
     audits: list[bool] = []
     status = TraceStatus.CAPPED
     for _ in range(max_iters):
-        new, removed, audit = fast_step(game, stages[-1], op)
-        if new == stages[-1]:
+        if not any(removed):
             status = TraceStatus.CONVERGED
             break
+        new = tuple(f - r for f, r in zip(h, removed))
+        regions = [condition_region(game, new, i, op, h[i]) for i in range(game.n)]
         stages.append(new)
-        eliminated.append(removed)
-        audits.append(audit)
+        audits.append(all(r <= region for r, region in zip(removed, regions)))
         if not all(new):
             status = TraceStatus.VACUOUS
             break
+        h, removed = new, tuple(region & f for region, f in zip(regions, new))
     return ReductionTrace(
         game_name=game.name,
         op=op,
         kind="fast",
         stages=tuple(stages),
-        eliminated=tuple(eliminated),
         status=status,
         fast_condition_audit=tuple(audits),
     )
@@ -167,8 +167,7 @@ def path_step(
                     f"player {i + 1}: strategy {witness} is not eliminable "
                     f"under {op.value}",
                 )
-    audit = _audit_step(game, post, removals, op, pre=h)
-    return post, audit, valid
+    return post, _audit_step(game, post, removals, op), valid
 
 
 def run_path(
@@ -180,17 +179,11 @@ def run_path(
     """Execute a parsed script. With validate off the steps are applied as
     bare restrictions and per-step validity is only recorded."""
     stages = [full_pairing(game)]
-    eliminated: list[tuple[Factor, ...]] = []
     audits: list[bool] = []
     valids: list[bool] = []
     for removals in steps:
-        h = stages[-1]
-        post, audit, valid = path_step(game, h, op, removals, validate=validate)
-        removed_row = tuple(
-            removals.get(i, h[i] - h[i]) for i in range(game.n)
-        )
+        post, audit, valid = path_step(game, stages[-1], op, removals, validate=validate)
         stages.append(post)
-        eliminated.append(removed_row)
         audits.append(audit)
         valids.append(valid)
         if not all(post):
@@ -208,7 +201,6 @@ def run_path(
         op=op,
         kind="path",
         stages=tuple(stages),
-        eliminated=tuple(eliminated),
         status=status,
         fast_condition_audit=tuple(audits),
         path_valid=tuple(valids),

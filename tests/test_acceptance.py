@@ -1,5 +1,5 @@
-"""Acceptance gate: ten scenario suites with wall-clock budgets, and a
-scaling ceiling for the continuum checks.
+"""Acceptance gate: twelve scenario criteria with wall-clock budgets, the
+last two a scaling ceiling for the continuum checks.
 
 Each test prints one pass/fail line. Budgets are generous on purpose;
 the point is catching accidental blowups, not benchmarking.
@@ -225,9 +225,7 @@ def test_criterion_10(load_game):
             assert a.intersect(b.intersect(c)) == n.intersect(c)
             assert a.union(n) == a and a.intersect(u) == a
             assert a.intersect(b.union(c)) == n.union(a.intersect(c))
-            ac = a.complement_within(carrier)
-            bc = b.complement_within(carrier)
-            assert u.complement_within(carrier) == ac.intersect(bc)
+            assert carrier - u == (carrier - a).intersect(carrier - b)
             cl = a.closure()
             assert cl.closure() == cl and a.is_subset(cl)
             p = F(rng.randrange(-40, 41), 4)

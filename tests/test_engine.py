@@ -14,7 +14,7 @@ from qualred.engine import (
     render_pairing,
     restrict,
 )
-from qualred.games import _scan, eval_value
+from qualred.games import GameError, _scan, eval_value
 from qualred.intervals import IntervalSet
 from qualred.reduction import star_reduce
 
@@ -83,6 +83,21 @@ def test_dominator_set_finite(load_game):
     assert dominator_set(g, h, 0, "b").strategies == frozenset({"a"})
     assert dominator_set(g, h, 0, "a").strategies == frozenset()
     assert dominator_set(g, h, 1, "d").strategies == frozenset({"c"})
+
+
+def test_dominator_set_refuses_a_label_outside_the_space(load_game):
+    g = load_game("fxf1.qg")
+    for x in ("z", "c"):  # no label, and one of player 2's
+        with pytest.raises(GameError, match=f"strategy {x} is not in player 1's space"):
+            dominator_set(g, full_pairing(g), 0, x)
+
+
+def test_dominator_set_refuses_a_point_outside_the_carrier(load_game):
+    g = load_game("fx1.qg")
+    holed = restrict(g, (I(0, F(1, 4)).union(I(F(3, 4), 1)), g.carrier(1)))
+    for game, x in ((g, F(5)), (g, F(-1, 2)), (holed, F(1, 2))):
+        with pytest.raises(GameError, match=f"strategy {x} is not in player 1's space"):
+            dominator_set(game, full_pairing(game), 0, x)
 
 
 def test_eliminated_region_all_operators(load_game):

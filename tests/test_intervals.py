@@ -47,9 +47,9 @@ def test_intersect_overlap():
 
 def test_complement_within():
     carrier = I(0, 1)
-    assert I(F(1, 2), 1, False, True).complement_within(carrier).render() == "[0,1/2]"
-    assert IntervalSet.empty().complement_within(carrier) == carrier
-    assert P(1).complement_within(carrier).render() == "[0,1)"
+    assert (carrier - I(F(1, 2), 1, False, True)).render() == "[0,1/2]"
+    assert carrier - IntervalSet.empty() == carrier
+    assert (carrier - P(1)).render() == "[0,1)"
 
 
 def test_closure():
@@ -146,10 +146,9 @@ def test_lattice_laws(a, b, c):
 @given(interval_sets(), interval_sets())
 def test_de_morgan_within_carrier(a, b):
     carrier = I(-10, 10)
-    ac = a.complement_within(carrier)
-    bc = b.complement_within(carrier)
-    assert a.union(b).complement_within(carrier) == ac.intersect(bc)
-    assert a.intersect(b).complement_within(carrier) == ac.union(bc)
+    ac, bc = carrier - a, carrier - b
+    assert carrier - a.union(b) == ac.intersect(bc)
+    assert carrier - a.intersect(b) == ac.union(bc)
 
 
 @given(interval_sets())

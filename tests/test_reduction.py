@@ -1,12 +1,15 @@
 """Reduction driver: fast iteration, scripted paths, operator semantics."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from qualred import engine, reduction
 from qualred.dsl import parse_game
-from qualred.engine import Operator, full_pairing, restrict
+from qualred.engine import Operator, _region_where, eliminated_region, full_pairing, restrict
 from qualred.intervals import IntervalSet
+from qualred.lab import GeneratorConfig, generate_game
 from qualred.reduction import (
     InvalidRemoval,
     PathScriptError,
@@ -18,6 +21,8 @@ from qualred.reduction import (
 )
 
 from conftest import fixture_text
+from test_cell_scan import random_game_text
+from test_maximal_regions import _restriction
 
 I = IntervalSet.interval
 P = IntervalSet.point
@@ -175,3 +180,75 @@ def test_audit_reads_the_produced_pairing(op):
     t = star_reduce(g, op)
     assert t.eliminated[0] == (frozenset({"a"}), frozenset({"c"}))
     assert t.fast_condition_audit == (False,)
+
+
+@pytest.mark.parametrize("name", ["fx1.qg", "fx4.qg", "fxf1.qg"])
+def test_one_judgement_per_player_per_stage(load_game, name, monkeypatch):
+    """A converged fast reduction asks for each player's region once at
+    every stage: the next removals and the step's audit share it."""
+    g = load_game(name)
+    calls = []
+    for module in (engine, reduction):
+        real = module._region_where
+        monkeypatch.setattr(
+            module, "_region_where", lambda *a, real=real, **k: calls.append(1) or real(*a, **k)
+        )
+    for op in Operator:
+        calls.clear()
+        t = star_reduce(g, op)
+        assert t.status is TraceStatus.CONVERGED
+        assert len(calls) == g.n * len(t.stages), op
+
+
+def _seeded_restriction(g, rng):
+    if not g.is_finite:
+        return tuple(map(IntervalSet.intersect, _restriction(rng, g.n), full_pairing(g)))
+    return tuple(
+        frozenset(rng.sample(g.labels(i), rng.randint(1, len(g.labels(i)))))
+        for i in range(g.n)
+    )
+
+
+def _audit_cases():
+    """Seeded finite games in utility and raw mode and seeded continuum
+    games, each with a restricted copy."""
+    games = [
+        generate_game(GeneratorConfig(players=len(sizes), sizes=sizes, seed=seed, mode=mode))
+        for mode in ("utility", "raw")
+        for sizes in ((2, 2), (3, 3), (2, 2, 2))
+        for seed in range(10)
+    ]
+    games += [
+        parse_game(random_game_text(seed, n, comps=False, shaped=seed % 2 == 0))
+        for n, seeds in ((2, 40), (3, 10))
+        for seed in range(seeds)
+    ]
+    rng = random.Random(18)
+    for g in games:
+        yield g
+        yield restrict(g, _seeded_restriction(g, rng))
+
+
+def test_fast_audits_and_removals_keep_their_definitions():
+    """Each fast audit is the operator's condition on the produced pairing,
+    judged over every nonempty removal, and each step removes exactly the
+    eliminated region of the stage before it, capped and vacuous traces
+    included."""
+    statuses = set()
+    for g in _audit_cases():
+        for op in Operator:
+            for max_iters in (1, 2, 1000):
+                t = star_reduce(g, op, max_iters=max_iters)
+                statuses.add(t.status)
+                assert len(t.fast_condition_audit) == len(t.eliminated) == len(t.stages) - 1
+                for k, (pre, post) in enumerate(zip(t.stages, t.stages[1:])):
+                    audit = True
+                    for i in range(g.n):
+                        removed = t.eliminated[k][i]
+                        assert removed == eliminated_region(g, pre, i, op), (g.name, op, k, i)
+                        member = post[i] if op is Operator.DOUBLE else None
+                        if removed:
+                            region = _region_where(g, post, i, domain=removed, member=member)
+                            audit = audit and removed <= region
+                    assert t.fast_condition_audit[k] == audit, (g.name, op, k)
+    assert statuses == set(TraceStatus)
