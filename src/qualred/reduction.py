@@ -2,17 +2,19 @@
 
 A fast step removes, for every player at once, everything the operator's
 condition currently marks as dominated. A scripted path removes exactly
-the sets a script names, validating each step against the operator.
+the sets a script names, validating each step against the operator: the
+dominator condition with opponents taken before the step for ARROW and
+after it for TAIL and DOUBLE, DOUBLE drawing dominators from the player's
+own set as the step began (minus the removed strategy itself), so
+strategies removed together may lean on one another. Each step's audit
+flag tells whether its removals meet the operator's condition on the
+produced pairing; removals that prop each other up show there as False.
 
-Validation tests the dominator condition with opponents taken before the
-step for ARROW and after it for TAIL and DOUBLE; DOUBLE draws dominators
-from the player's own set as it stood when the step began (minus the
-removed strategy itself), so strategies removed together may lean on one
-another. Each executed step also records an audit flag telling whether
-the removals satisfy the operator's condition re-evaluated purely on the
-produced pairing; simultaneous removals that prop each other up show up
-there as a False. The fast reduction judges each stage once per player,
-and a step's audit is read off the next stage's judgement.
+Both reductions run one stage loop, which judges each stage once per
+player over the set the player held before the step. That judgement
+gives the step's audit, TAIL's path condition, the next fast removals and
+a script's final status; the judgement of the stage before a step gives
+ARROW's. Only DOUBLE's lone-removal condition is judged apart.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import sub
+from itertools import repeat
+from operator import and_, sub
 
 from .games import Game, GameError
 from .intervals import IntervalSetParseError, parse_interval_set
@@ -79,132 +82,112 @@ class PathScriptError(GameError):
         self.line = line
 
 
-def _step_region(
-    game: Game, pre: Pairing, post: Pairing, i: int, removed: Factor, op: Operator
-) -> Factor:
-    """Part of a removal set meeting the operator's path condition."""
-    if op is not Operator.DOUBLE:
-        at = pre if op is Operator.ARROW else post
-        return _region_where(game, at, i, domain=removed)
-    return _region_where(game, post, i, domain=removed, member=pre[i], exclude_self=True)
+def _judge(game: Game, h: Pairing, op: Operator, before: Pairing) -> Pairing:
+    """A stage's judgement: each player's condition region at h, over the
+    set the player held before the step."""
+    return tuple(condition_region(game, h, i, op, f) for i, f in enumerate(before))
 
 
-def _audit_step(game: Game, post: Pairing, removals: dict[int, Factor], op: Operator) -> bool:
-    """Literal operator condition on the produced pairing, per removed point."""
-    return all(
-        removed <= condition_region(game, post, i, op, removed)
-        for i, removed in removals.items()
-        if removed
+def _refuse(game: Game, i: int, rest: Factor, why: str) -> InvalidRemoval:
+    witness = factor_pick(game, i, rest)
+    return InvalidRemoval(i + 1, witness, f"player {i + 1}: " + why.format(witness))
+
+
+def _step(
+    game: Game, h: Pairing, judged: Pairing | None, op: Operator,
+    removals: dict[int, Factor], validate: bool | None,
+) -> tuple[Pairing, Pairing, bool, bool | None]:
+    """One step of the stage loop from h, judged `judged` (None: ARROW's path
+    condition judges the removals alone). Returns the produced pairing, its
+    judgement, the audit and the path condition (validate None skips it)."""
+    # a script's removals are checked; a fast step's lie in h by construction
+    for i, removed in removals.items() if validate is not None else ():
+        if not 0 <= i < game.n:
+            raise GameError(f"no player {i + 1} in this game")
+        if not removed <= h[i]:
+            why = "removal of {} is outside the current strategy set"
+            raise _refuse(game, i, removed - h[i], why)
+    post = tuple(f - removals[i] if i in removals else f for i, f in enumerate(h))
+    after = _judge(game, post, op, h)
+    audit = all(removed <= after[i] for i, removed in removals.items())
+    if validate is None:
+        return post, after, audit, None
+    valid = True
+    for i, removed in removals.items():
+        if op is Operator.ARROW:
+            region = judged[i] if judged else condition_region(game, h, i, op, removed)
+        elif op is Operator.TAIL:
+            region = after[i]
+        else:  # a lone removal: dominators from the set before the step, x itself excluded
+            region = removed and _region_where(game, post, i, removed, h[i], exclude_self=True)
+        if not removed <= region:
+            valid = False
+            if validate:
+                why = f"strategy {{}} is not eliminable under {op.value}"
+                raise _refuse(game, i, removed - region, why)
+    return post, after, audit, valid
+
+
+def _reduce(game: Game, op: Operator, steps, validate: bool | None) -> ReductionTrace:
+    """The stage loop of both reductions. A fast reduction (validate None)
+    takes None steps, each removing what the stage's judgement marks in the
+    current sets, up to the stage where it marks nothing. The full pairing
+    is judged whole, over itself, only when a fast step or a script's final
+    status reads it; a script's first step judges its ARROW removals alone."""
+    h, judged = full_pairing(game), None
+    stages, audits, valids = [h], [], []
+    status = TraceStatus.CAPPED
+    for removals in steps:
+        if removals is None:
+            removals = dict(enumerate(map(and_, judged, h) if judged else _judge(game, h, op, h)))
+            if not any(removals.values()):
+                status = TraceStatus.CONVERGED
+                break
+        h, judged, audit, valid = _step(game, h, judged, op, removals, validate)
+        stages.append(h)
+        audits.append(audit)
+        valids.append(valid)
+        if not all(h):
+            status = TraceStatus.VACUOUS
+            break
+    else:  # a script that stops short of a fixpoint ran out of steps
+        if validate is not None and not any(map(and_, judged or _judge(game, h, op, h), h)):
+            status = TraceStatus.CONVERGED if all(h) else TraceStatus.VACUOUS
+    return ReductionTrace(
+        game.name, op, "fast" if validate is None else "path", tuple(stages), status,
+        fast_condition_audit=tuple(audits), path_valid=None if validate is None else tuple(valids),
     )
 
 
 def star_reduce(game: Game, op: Operator, max_iters: int = 1000) -> ReductionTrace:
-    """Iterate fast steps to a fixpoint, an empty factor, or the cap.
-
-    Each stage is judged once per player, over the set the player held
-    before the step: the step's audit is read off that judgement, and so
-    are the next stage's removals.
-    """
-    h = full_pairing(game)
-    removed = tuple(eliminated_region(game, h, i, op) for i in range(game.n))
-    stages = [h]
-    audits: list[bool] = []
-    status = TraceStatus.CAPPED
-    for _ in range(max_iters):
-        if not any(removed):
-            status = TraceStatus.CONVERGED
-            break
-        new = tuple(f - r for f, r in zip(h, removed))
-        regions = [condition_region(game, new, i, op, h[i]) for i in range(game.n)]
-        stages.append(new)
-        audits.append(all(r <= region for r, region in zip(removed, regions)))
-        if not all(new):
-            status = TraceStatus.VACUOUS
-            break
-        h, removed = new, tuple(region & f for region, f in zip(regions, new))
-    return ReductionTrace(
-        game_name=game.name,
-        op=op,
-        kind="fast",
-        stages=tuple(stages),
-        status=status,
-        fast_condition_audit=tuple(audits),
-    )
+    """Iterate fast steps to a fixpoint, an empty factor, or the cap of
+    max_iters steps, which is capped even when its last stage is a fixpoint."""
+    if max_iters < 1:
+        raise GameError(f"max_iters must be at least 1, got {max_iters}")
+    return _reduce(game, op, repeat(None, max_iters), None)
 
 
 def path_step(
-    game: Game,
-    h: Pairing,
-    op: Operator,
-    removals: dict[int, Factor],
-    validate: bool = True,
+    game: Game, h: Pairing, op: Operator, removals: dict[int, Factor], validate: bool = True
 ) -> tuple[Pairing, bool, bool]:
     """Apply one scripted removal step; returns (pairing, audit, valid).
 
-    With validate on, an invalid removal raises InvalidRemoval naming a
-    witness strategy. Subset violations always raise.
-    """
-    for i, removed in removals.items():
-        if not removed <= h[i]:
-            witness = factor_pick(game, i, removed - h[i])
-            raise InvalidRemoval(
-                i + 1,
-                witness,
-                f"player {i + 1}: removal of {witness} is outside the "
-                "current strategy set",
-            )
-    post = tuple(h[i] - removals[i] if i in removals else h[i] for i in range(game.n))
-    valid = True
-    for i, removed in removals.items():
-        region = _step_region(game, h, post, i, removed, op)
-        if not removed <= region:
-            valid = False
-            if validate:
-                witness = factor_pick(game, i, removed - region)
-                raise InvalidRemoval(
-                    i + 1,
-                    witness,
-                    f"player {i + 1}: strategy {witness} is not eliminable "
-                    f"under {op.value}",
-                )
-    return post, _audit_step(game, post, removals, op), valid
+    One step of the stage loop, reading the same per-stage judgement as the
+    fast reduction. With validate on, an invalid removal raises
+    InvalidRemoval naming a witness strategy. Subset violations always
+    raise, and so does a player outside the game, with GameError."""
+    post, _, audit, valid = _step(game, h, None, op, removals, validate)
+    return post, audit, valid
 
 
 def run_path(
-    game: Game,
-    op: Operator,
-    steps: list[dict[int, Factor]],
-    validate: bool = True,
+    game: Game, op: Operator, steps: list[dict[int, Factor]], validate: bool = True
 ) -> ReductionTrace:
-    """Execute a parsed script. With validate off the steps are applied as
-    bare restrictions and per-step validity is only recorded."""
-    stages = [full_pairing(game)]
-    audits: list[bool] = []
-    valids: list[bool] = []
-    for removals in steps:
-        post, audit, valid = path_step(game, stages[-1], op, removals, validate=validate)
-        stages.append(post)
-        audits.append(audit)
-        valids.append(valid)
-        if not all(post):
-            break
-    final = stages[-1]
-    if not all(final):
-        status = TraceStatus.VACUOUS
-    elif is_maximal(game, final, op):
-        status = TraceStatus.CONVERGED
-    else:
-        # a script that stops short of a fixpoint ran out of steps
-        status = TraceStatus.CAPPED
-    return ReductionTrace(
-        game_name=game.name,
-        op=op,
-        kind="path",
-        stages=tuple(stages),
-        status=status,
-        fast_condition_audit=tuple(audits),
-        path_valid=tuple(valids),
-    )
+    """Execute a parsed script in the stage loop, its steps reading the same
+    per-stage judgement as the fast reduction. With validate off the steps
+    are applied as bare restrictions and per-step validity is only
+    recorded. A script ending at a fixpoint is converged, short of one capped."""
+    return _reduce(game, op, steps, validate)
 
 
 def is_maximal(game: Game, h: Pairing, op: Operator) -> bool:

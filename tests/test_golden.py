@@ -27,10 +27,17 @@ CASES = [
     ("reduce-fx4-arrow.txt", ["reduce", "fx4.qg", "--op", "arrow", "--format", "text"], 0),
     ("reduce-fx5-derived-path.json",
      ["reduce", "fx5-derived.qg", "--path", "restrict-to-1-and-half.path"], 0),
+    ("reduce-fx5-derived-path-arrow.txt",
+     ["reduce", "fx5-derived.qg", "--path", "restrict-to-1-and-half.path", "--op", "arrow",
+      "--format", "text"], 3),
+    ("reduce-fx5-derived-path-tail.json",
+     ["reduce", "fx5-derived.qg", "--path", "restrict-to-1-and-half.path", "--op", "tail"], 3),
     ("reduce-fx1-capped.txt", ["reduce", "fx1.qg", "--max-iters", "1", "--format", "text"], 3),
     ("reduce-missing.err", ["reduce", "missing.qg"], 1),
     ("reduce-bad-path.err", ["reduce", "fx1.qg", "--path", "bad.path"], 2),
     ("reduce-singletons.err", ["reduce", "fx1.qg", "--path", "singletons.path"], 2),
+    ("reduce-singletons-tail.err",
+     ["reduce", "fx1.qg", "--path", "singletons.path", "--op", "tail"], 2),
     ("check-fx1.json", ["check", "fx1.qg"], 5),
     ("check-fx4.json", ["check", "fx4.qg"], 5),
     ("check-fx4-all.txt",

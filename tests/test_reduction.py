@@ -1,13 +1,16 @@
 """Reduction driver: fast iteration, scripted paths, operator semantics."""
 
+import inspect
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
 from qualred import engine, reduction
 from qualred.dsl import parse_game
 from qualred.engine import Operator, _region_where, eliminated_region, full_pairing, restrict
+from qualred.games import GameError
 from qualred.intervals import IntervalSet
 from qualred.lab import GeneratorConfig, generate_game
 from qualred.reduction import (
@@ -16,6 +19,7 @@ from qualred.reduction import (
     TraceStatus,
     is_maximal,
     parse_path_script,
+    path_step,
     run_path,
     star_reduce,
 )
@@ -252,3 +256,86 @@ def test_fast_audits_and_removals_keep_their_definitions():
                             audit = audit and removed <= region
                     assert t.fast_condition_audit[k] == audit, (g.name, op, k)
     assert statuses == set(TraceStatus)
+
+
+@pytest.mark.parametrize("key", [-1, 2])
+def test_removal_keyed_outside_the_players_is_refused(load_game, key, monkeypatch):
+    """A removal keyed outside 0..n-1 names no player: it is refused before
+    any region is judged, not read as another player's or as an index."""
+    g = load_game("fx1.qg")
+    calls = []
+    for module in (engine, reduction):
+        real = module._region_where
+        monkeypatch.setattr(
+            module, "_region_where", lambda *a, real=real, **k: calls.append(1) or real(*a, **k)
+        )
+    removals = {key: I(0, 1, True, False)}
+    for op in Operator:
+        for validate in (True, False):
+            with pytest.raises(GameError, match=f"^no player {key + 1} in this game$"):
+                run_path(g, op, [removals], validate=validate)
+            with pytest.raises(GameError, match=f"^no player {key + 1} in this game$"):
+                path_step(g, full_pairing(g), op, removals, validate=validate)
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_max_iters_below_one_is_refused(load_game, max_iters):
+    g = load_game("fx1.qg")
+    with pytest.raises(GameError, match="max_iters must be at least 1"):
+        star_reduce(g, Operator.DOUBLE, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("name", ["fx1.qg", "fx4.qg", "fxf1.qg", "fx5-derived.qg"])
+def test_no_reduction_asks_the_same_question_twice(load_game, name, monkeypatch):
+    """Within one fast reduction or one scripted path, every region call
+    has its own arguments: a step's audit, its path condition, the next
+    removals and the final status share the stage's one judgement."""
+    g = load_game(name)
+    calls = []
+    for module in (engine, reduction):
+        real = module._region_where
+        bind = inspect.signature(real).bind
+
+        def spy(*a, real=real, bind=bind, **k):
+            args = bind(*a, **k)
+            args.apply_defaults()
+            calls.append(tuple(args.arguments.values()))
+            return real(*a, **k)
+
+        monkeypatch.setattr(module, "_region_where", spy)
+    runs = [lambda op: star_reduce(g, op)]
+    fixtures = resources.files("qualred").joinpath("fixtures").iterdir()
+    for path in sorted(f.name for f in fixtures if f.name.endswith(".path")):
+        try:
+            steps = script(path, g)
+        except PathScriptError:
+            continue
+        runs.append(lambda op, steps=steps: run_path(g, op, steps, validate=False))
+    assert len(runs) > 1 or g.is_finite
+    for op in Operator:
+        for run in runs:
+            calls.clear()
+            run(op)
+            assert calls
+            for k, call in enumerate(calls):
+                assert call not in calls[k + 1 :], (name, op)
+
+
+def test_a_replayed_fast_trace_agrees_with_it():
+    """Replaying a fast trace's removals as a script gives its stages and
+    audits, and its status unless it was capped; every replayed step meets
+    ARROW's path condition, and TAIL's path condition is the audit."""
+    for g in _audit_cases():
+        for op in Operator:
+            for max_iters in (1, 2, 1000):
+                t = star_reduce(g, op, max_iters=max_iters)
+                steps = [dict(enumerate(row)) for row in t.eliminated]
+                p = run_path(g, op, steps, validate=False)
+                assert (p.stages, p.fast_condition_audit) == (t.stages, t.fast_condition_audit)
+                if t.status is not TraceStatus.CAPPED:
+                    assert p.status is t.status, (g.name, op, max_iters)
+                if op is Operator.ARROW:
+                    assert all(p.path_valid), (g.name, max_iters)
+                if op is Operator.TAIL:
+                    assert p.path_valid == p.fast_condition_audit, (g.name, max_iters)
