@@ -88,15 +88,18 @@ class DominatorSet:
 class _FiniteRows:
     """Player i's finite preference table as int masks over game.labels(i).
 
-    A factor of player j is an int with bit k for game.labels(j)[k]. The
-    table is read in one pass over game.profiles() into flat, the masks in
-    product order, each distinct row converted once. cols[k][o], gathered
-    from flat by stride on first use, is the mask at own strategy labels[k]
-    and opponent profile o, o being the mixed-radix index of the opponents'
-    labels in product order: flat[(o // inner * len(labels) + k) * inner +
-    o % inner], inner counting the profiles of the players after i. at(key)
-    memoises in self.masks, per tuple of opponent masks, the dominator mask
-    of every own strategy in label order: the AND of its column over the
+    A factor of player j is an int with bit k for game.labels(j)[k], and a
+    pairing one int with bit shift_j + k for it, shift_j counting the labels
+    before player j's (self.shift is player i's). The table is read in one
+    pass over game.profiles() into flat, the masks in product order, each
+    distinct row converted once. cols[k][o] is the mask at own strategy
+    labels[k] and opponent profile o (the mixed-radix index of the
+    opponents' labels in product order), flat[(o // inner * len(labels) + k)
+    * inner + o % inner], inner counting the profiles of the players after
+    i: on first use each cols[k] is sliced from flat by stride when inner is
+    1, else chained from runs of inner masks. at(key) memoises in
+    self.masks, per pairing of the opponents alone, the dominator mask of
+    every own strategy in label order: the AND of its column over the
     surviving opponent profiles. dominators(key) keeps the same masks by
     label in self.memo, keyed by the opponents' frozensets, h[:i] + h[i + 1 :].
     """
@@ -104,8 +107,13 @@ class _FiniteRows:
     def __init__(self, game: Game, i: int):
         self.labels = game.labels(i)
         self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
+        sizes = [len(game.labels(j)) for j in range(game.n)]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        self.shift = offsets[i]
         self.opp_bits = [
-            {s: 1 << k for k, s in enumerate(game.labels(j))} for j in range(game.n) if j != i
+            {s: 1 << at + k for k, s in enumerate(game.labels(j))}
+            for j, at in enumerate(offsets[:-1])
+            if j != i
         ]
         table = game.prefs[i].table
         try:
@@ -114,18 +122,18 @@ class _FiniteRows:
             raise GameError(f"no table row for profile {missing.args[0]}") from None
         masks = {f: self.mask(f) for f in set(rows)}
         self.flat = list(map(masks.__getitem__, rows))
-        self.inner = math.prod(len(game.labels(j)) for j in range(i + 1, game.n))
-        self.masks: dict[tuple[int, ...], list[int]] = {}
+        self.inner = math.prod(sizes[i + 1 :])
+        self.masks: dict[int, list[int]] = {}
         self.memo: dict[tuple[frozenset, ...], dict[str, int]] = {}
 
     @cached_property
     def cols(self) -> list[list[int]]:
         inner, flat = self.inner, self.flat
         block = len(self.labels) * inner or 1
-        return [
-            [m for b in range(k * inner, len(flat), block) for m in flat[b : b + inner]]
-            for k in range(len(self.labels))
-        ]
+        if inner == 1:
+            return [flat[k::block] for k in range(len(self.labels))]
+        starts = (range(k * inner, len(flat), block) for k in range(len(self.labels)))
+        return [list(itertools.chain.from_iterable(flat[b : b + inner] for b in r)) for r in starts]
 
     def mask(self, f: frozenset) -> int:
         return sum(map(self.bit.__getitem__, f))
@@ -135,16 +143,16 @@ class _FiniteRows:
 
     def dominators(self, key: tuple[frozenset, ...]) -> dict[str, int]:
         if key not in self.memo:
-            masks = tuple(sum(map(b.__getitem__, f)) for f, b in zip(key, self.opp_bits))
-            self.memo[key] = dict(zip(self.labels, self.at(masks)))
+            packed = sum(sum(map(b.__getitem__, f)) for f, b in zip(key, self.opp_bits))
+            self.memo[key] = dict(zip(self.labels, self.at(packed)))
         return self.memo[key]
 
-    def at(self, key: tuple[int, ...]) -> list[int]:
+    def at(self, key: int) -> list[int]:
         if key not in self.masks:
             flat = [0]
-            for m, bits in zip(key, self.opp_bits):
+            for bits in self.opp_bits:
                 size = len(bits)
-                flat = [o * size + k for o in flat for k in range(size) if m >> k & 1]
+                flat = [o * size + k for o in flat for k, b in enumerate(bits.values()) if key & b]
             full = (1 << len(self.labels)) - 1
             self.masks[key] = [reduce(and_, map(col.__getitem__, flat), full) for col in self.cols]
         return self.masks[key]

@@ -192,24 +192,32 @@ def discretize(game: Game, step) -> Game:
     step = Fraction(step)
     if step <= 0:
         raise GameError("grid step must be positive")
-    candidates: list[set[Fraction]] = []
+    # each point is an int over one common denominator; a cut keeps its Fraction
+    cuts, corrs = _global_breakpoints(game), game.prefs + (game.comps or ())
+    den = math.lcm(step.denominator, *(t.denominator for t in cuts))
+
+    def scaled(t: Fraction) -> int:
+        return t.numerator * (den // t.denominator)
+
+    point, unit, axes = dict(zip(map(scaled, cuts), cuts)), scaled(step), []
     for j in range(game.n):
-        points: set[Fraction] = set()
+        own = {scaled(t) for c in corrs for t in _piece_index(game, c).cuts[j]}
+        axis: list[int] = []
         for part in game.carrier(j).parts:
-            lo, span = part.lo.value, part.hi.value - part.lo.value
-            if span % step != 0:
+            lo, hi = scaled(part.lo.value), scaled(part.hi.value)
+            if (hi - lo) % unit:
                 raise GameError(f"grid step {step} does not divide the span of {part.render()}")
-            points.update(lo + k * step for k in range(span // step + 1))
-        for corr in game.prefs + (game.comps or ()):
-            points.update(_piece_index(game, corr).cuts[j])
-        candidates.append(points)
-    ranks = _Ranks(game, sorted(set(_global_breakpoints(game)).union(*candidates)))
-    grid = [
-        sorted(r for t in points if (r := ranks.rank[t.as_integer_ratio()]) in carrier)
-        for points, carrier in zip(candidates, map(ranks.span, ranks.carriers))
-    ]
-    axes = [list(map(ranks.coord, g)) for g in grid]
-    spaces = tuple(FiniteSpace(tuple(str(p) for p in ax)) for ax in axes)
+            axis += range(lo + unit * (not part.lo.closed), hi + part.hi.closed, unit)
+            axis += (v for v in own if lo < v < hi and (v - lo) % unit)  # between grid points
+        axes.append(sorted(axis))
+    members = set().union(*axes)
+    point.update((v, Fraction(v, den)) for v in members - point.keys())
+    order = sorted(point)
+    ranks = _Ranks(game, list(map(point.__getitem__, order)))
+    rank = {v: k * ranks.width for k, v in enumerate(order)}
+    grid = [list(map(rank.__getitem__, axis)) for axis in axes]
+    name = {v: str(point[v]) for v in members}
+    spaces = tuple(FiniteSpace(tuple(map(name.__getitem__, axis))) for axis in axes)
     strides = [math.prod(map(len, axes[j + 1 :])) for j in range(game.n)]
     n, shared = game.n, {}
 
@@ -257,7 +265,7 @@ def discretize(game: Game, step) -> Game:
                     flat[base + run.start : base + run.stop] = rows[key]
         if None in flat:
             k = flat.index(None)
-            at = tuple(str(ax[k // s % len(ax)]) for ax, s in zip(axes, strides))
+            at = tuple(sp.labels[k // s % len(sp.labels)] for sp, s in zip(spaces, strides))
             raise GameError(f"profile {at} not covered by any piece")
         profiles = itertools.product(*(sp.labels for sp in spaces))
         return FiniteTable(i + 1, dict(zip(profiles, flat)))
@@ -287,15 +295,28 @@ def enumerate_maximal_reductions(
     """Every maximal pairing reachable by single-strategy eliminations.
 
     Exhaustive depth-first walk with memoized pairings; games larger than
-    the bound (product of strategy counts) are refused. A pairing is held
-    as one int per player, bit k for game.labels(i)[k], and is marked seen
-    when pushed. Per player and tuple of opponent masks, a plan is memoised
-    from engine._FiniteRows' dominator masks: the moves, pairs (bit, mask a
-    dominator must meet) in label order, each removing the own strategy at
-    bit while the own mask meets its mask (under DOUBLE the dominator mask
-    less bit, else all ones); and the inclusion-minimal nonzero dominator
-    masks, all that condition D, every nonzero one meeting the own mask,
-    needs to test. Pairings become frozensets only at the maximal ones.
+    the bound (product of strategy counts) are refused. A pairing is one
+    int packed as in engine._FiniteRows, marked seen when pushed; a child
+    clears one bit. Per player and opponents' bits (the pairing less the
+    player's field), a plan is memoised from the dominator masks: each
+    movable bit with the mask the pairing must meet for it to go (under
+    DOUBLE the dominator mask less the bit, else all ones), and the
+    inclusion-minimal nonzero dominator masks, all that condition D needs
+    to test. A state loops over its movable bits; visited counts every
+    pairing reached.
+
+    Under ARROW and TAIL the walk is order independent. Both remove x from
+    H_i when the opponent factors of H are nonempty and the P_i(x, o) over
+    the opponent profiles o of H meet; H_i is never read. So if x is
+    removable at H, it is at every G <= H with nonempty opponent factors.
+    Let L be the fast limit of stages G_t. (a) A nonvacuous (no empty
+    factor) maximal M lies in every G_t: given M <= G_t, a member of M
+    removed at G_t would be removable at M. (b) If L is nonvacuous, every
+    reachable pairing contains L: a move removing a member of L would be
+    removable at the fixpoint L. So a nonvacuous L is the only maximal
+    pairing, and if L is vacuous, by (a) so is every maximal pairing: the
+    monotone case of Apt's order independence (2004). DOUBLE's dominator
+    must lie in the shrinking own set: not monotone, so it keeps the walk.
     """
     if not game.is_finite:
         raise GameError("enumeration needs finite spaces")
@@ -308,42 +329,47 @@ def enumerate_maximal_reductions(
         )
     rows = [_finite_rows(game, i) for i in range(game.n)]
     double = op is Operator.DOUBLE
-    plans: list[dict[tuple[int, ...], tuple[list, list]]] = [{} for _ in rows]
+    fields = [(1 << len(r.labels)) - 1 << r.shift for r in rows]
+    plans: list[dict[int, tuple]] = [{} for _ in rows]
 
-    def plan(i: int, opponents: tuple[int, ...]) -> tuple[list, list]:
-        dom = rows[i].at(opponents)
-        moves = [(1 << k, d & ~(1 << k) if double else -1) for k, d in enumerate(dom) if d]
-        masks = set(dom) - {0}
-        least = [d for d in masks if not any(e & d == e != d for e in masks)]
-        plans[i][opponents] = out = [m for m in moves if m[1]], least
+    def plan(i: int, key: int) -> tuple[int, dict[int, int], list[int]]:
+        at, meets, least = rows[i].shift, {}, []
+        if all(map((key | fields[i]).__and__, fields)):  # no opponent factor is empty
+            dom = rows[i].at(key)
+            for k, d in enumerate(dom):
+                if meet := d & ~(1 << k) if double else d:
+                    meets[1 << at + k] = meet << at if double else -1
+            for d in sorted({d << at for d in dom} - {0}):  # a proper subset is smaller
+                if all(e & d != e for e in least):
+                    least.append(d)
+        plans[i][key] = out = sum(meets), meets, least
         return out
 
-    start = tuple((1 << len(r.labels)) - 1 for r in rows)
-    seen = {start}
+    stack, others = [sum(fields)], [~f for f in fields]
+    seen = set(stack)
     maximal: list[tuple[tuple[str, ...], ...]] = []  # labels in label order
     d_holds = True
-    stack = [start]
     while stack:
-        h = stack.pop()
+        s = stack.pop()
         progressed = False
-        for i, own in enumerate(h):
-            pre, post = h[:i], h[i + 1 :]
-            opponents = pre + post
-            if not all(opponents):
-                continue
-            moves, least = plans[i].get(opponents) or plan(i, opponents)
+        for i, memo in enumerate(plans):
+            key = s & others[i]
+            movable, meets, least = memo.get(key) or plan(i, key)
             if track_condition_D and d_holds:
-                d_holds = all(map(own.__and__, least))
-            for bit, meet in moves:
-                if own & bit and own & meet:
+                d_holds = all(map(s.__and__, least))
+            m = s & movable
+            while m:
+                bit = m & -m
+                m ^= bit
+                if s & meets[bit]:
                     progressed = True
-                    child = pre + (own ^ bit,) + post
+                    child = s ^ bit
                     if child not in seen:
                         seen.add(child)
                         stack.append(child)
         if not progressed:
             maximal.append(
-                tuple(tuple(s for s in r.labels if m & r.bit[s]) for r, m in zip(rows, h))
+                tuple(tuple(lab for lab in r.labels if s >> r.shift & r.bit[lab]) for r in rows)
             )
     return EnumerationResult(
         pairings=[tuple(map(frozenset, key)) for key in sorted(maximal)],

@@ -108,7 +108,8 @@ def _step(
             why = "removal of {} is outside the current strategy set"
             raise _refuse(game, i, removed - h[i], why)
     post = tuple(f - removals[i] if i in removals else f for i, f in enumerate(h))
-    after = _judge(game, post, op, h)
+    empty = judged is not None and not any(removals.values())  # h stays as it was judged
+    after = tuple(map(and_, judged, h)) if empty else _judge(game, post, op, h)
     audit = all(removed <= after[i] for i, removed in removals.items())
     if validate is None:
         return post, after, audit, None

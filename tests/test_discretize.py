@@ -199,3 +199,31 @@ def test_discretize_shares_entries_a_clip_splits(load_game):
     split, whole = snap.prefs[0].table[("0", "0")], snap.prefs[1].table[("0", "0")]
     assert split == whole == frozenset({"1/4", "1/2", "3/4", "1"})
     assert split is whole
+
+
+@pytest.mark.parametrize("step", [0, -1, F(0), "-1/4"])
+def test_discretize_refuses_a_step_that_is_not_positive(load_game, step):
+    with pytest.raises(GameError, match="^grid step must be positive$"):
+        discretize(load_game("fx1.qg"), step)
+
+
+def test_discretize_refuses_a_step_that_does_not_divide_a_part(load_game):
+    with pytest.raises(GameError) as caught:
+        discretize(load_game("fx1.qg"), F(2, 7))
+    assert str(caught.value) == "grid step 2/7 does not divide the span of [0,1]"
+    # the second part [3/4,1] of a restricted carrier is a quarter long
+    game = restrict(load_game("fx1.qg"), (I(0, F(1, 2)).union(I(F(3, 4), 1)), I(0, 1)))
+    with pytest.raises(GameError) as caught:
+        discretize(game, F(1, 2))
+    assert str(caught.value) == "grid step 1/2 does not divide the span of [3/4,1]"
+    assert discretize(game, F(1, 4)).labels(0) == ("0", "1/4", "1/2", "3/4", "1")
+
+
+@pytest.mark.parametrize("step, exact", [("1/4", F(1, 4)), (0.5, F(1, 2))])
+def test_discretize_reads_a_step_as_a_fraction(load_game, step, exact):
+    game = load_game("fx4.qg")
+    snap, want = discretize(game, step), discretize(game, exact)
+    assert snap == want
+    assert snap.name == want.name
+    for got, expected in zip(snap.prefs + snap.comps, want.prefs + want.comps):
+        assert list(got.table) == list(expected.table)

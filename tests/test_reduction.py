@@ -313,6 +313,9 @@ def test_no_reduction_asks_the_same_question_twice(load_game, name, monkeypatch)
             continue
         runs.append(lambda op, steps=steps: run_path(g, op, steps, validate=False))
     assert len(runs) > 1 or g.is_finite
+    # steps that remove nothing leave the stage as it was judged
+    empty = parse_path_script("step:\nstep:\nstep:\n", g)
+    runs += [lambda op, v=v: run_path(g, op, empty, validate=v) for v in (True, False)]
     for op in Operator:
         for run in runs:
             calls.clear()
@@ -339,3 +342,13 @@ def test_a_replayed_fast_trace_agrees_with_it():
                     assert all(p.path_valid), (g.name, max_iters)
                 if op is Operator.TAIL:
                     assert p.path_valid == p.fast_condition_audit, (g.name, max_iters)
+                # an empty step after each one repeats its stage and changes no verdict;
+                # a vacuous stage ends the run before the empty step after it
+                q = run_path(g, op, [s for step in steps for s in (step, {})], validate=False)
+                end = -1 if p.status is TraceStatus.VACUOUS else None
+                assert q.stages == (p.stages[0], *(h for h in p.stages[1:] for h in (h, h)))[:end]
+                assert q.path_valid == tuple(x for v in p.path_valid for x in (v, True))[:end]
+                assert q.fast_condition_audit == tuple(
+                    x for a in p.fast_condition_audit for x in (a, True)
+                )[:end]
+                assert q.status is p.status, (g.name, op, max_iters)
