@@ -346,7 +346,7 @@ def test_a_replayed_fast_trace_agrees_with_it():
                 # a vacuous stage ends the run before the empty step after it
                 q = run_path(g, op, [s for step in steps for s in (step, {})], validate=False)
                 end = -1 if p.status is TraceStatus.VACUOUS else None
-                assert q.stages == (p.stages[0], *(h for h in p.stages[1:] for h in (h, h)))[:end]
+                assert q.stages == (p.stages[0], *(x for h in p.stages[1:] for x in (h, h)))[:end]
                 assert q.path_valid == tuple(x for v in p.path_valid for x in (v, True))[:end]
                 assert q.fast_condition_audit == tuple(
                     x for a in p.fast_condition_audit for x in (a, True)
