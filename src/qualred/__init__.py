@@ -16,7 +16,13 @@ from qualred.analysis import (
     find_undominated_dominator,
     maximal_elements,
 )
-from qualred.dsl import GameParseError, parse_game, serialize_game
+from qualred.dsl import (
+    GameParseError,
+    PathScriptError,
+    parse_game,
+    parse_path_script,
+    serialize_game,
+)
 from qualred.engine import (
     Operator,
     dominator_set,
@@ -50,11 +56,9 @@ from qualred.lab import (
 )
 from qualred.reduction import (
     InvalidRemoval,
-    PathScriptError,
     ReductionTrace,
     TraceStatus,
     is_maximal,
-    parse_path_script,
     run_path,
     star_reduce,
 )

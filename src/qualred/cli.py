@@ -21,7 +21,7 @@ from qualred.analysis import (
     check_preservation,
     maximal_elements,
 )
-from qualred.dsl import parse_game
+from qualred.dsl import PathScriptError, parse_game, parse_path_script
 from qualred.engine import Operator, render_pairing
 from qualred.games import Game, GameError
 from qualred.intervals import IntervalSet
@@ -35,10 +35,8 @@ from qualred.lab import (
 )
 from qualred.reduction import (
     InvalidRemoval,
-    PathScriptError,
     ReductionTrace,
     TraceStatus,
-    parse_path_script,
     run_path,
     star_reduce,
 )

@@ -1,4 +1,4 @@
-"""Line-oriented text format for games, with parse and serialize.
+"""Line-oriented text formats for games and path scripts.
 
     game "fx1"
     space 1 = interval [0,1]
@@ -9,7 +9,9 @@
 Finite players use `finite {a, b}` spaces and `table:` blocks with one
 `at` row per profile. `util N table:` rows carry rational payoffs; a game
 declaring utilities and no pref blocks gets its preferences derived from
-them. Blank lines and `#` comments are ignored.
+them. A path script holds removal steps, one `step:` line each, as in
+`step: player=1 remove={a} ; player=2 remove=[0,1/2)`. Both formats skip
+blank lines and `#` comments.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ _SPACE_RE = re.compile(r"^space\s+(\d+)\s*=\s*(finite|interval)\s+(.*)$")
 _FINITE_BODY_RE = re.compile(r"^\{(.*)\}$")
 _DECL_RE = re.compile(r"^(pref|comp|util)\s+(\d+)\s+(piecewise|table):\s*$")
 _WHEN_RE = re.compile(r"^when\s+(.*?)\s*:\s*(.*)$")
-_AT_TABLE_RE = re.compile(r"^at\s+(.*?)\s*:\s*\{(.*)\}\s*$")
+_BLOCK_ROW = ("when ", "at ")  # rows that join the open declaration
+_AT_TABLE_RE = re.compile(r"^at\s+(.*?)\s*:\s*(\{.*\})\s*$")
 _AT_UTIL_RE = re.compile(rf"^at\s+(.*?)\s*=\s*({_RAT})\s*$")
 _COND_ATOM_RE = re.compile(r"^x(\d+)\s+in\s+(.+)$")
 _EXPR = rf"(?:x\d+|{_RAT})"
 _VALUE_RE = re.compile(rf"^([\[\(])\s*({_EXPR})\s*,\s*({_EXPR})\s*([\]\)])$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_./+-]+$")
+_STEP_RE = re.compile(r"^step:\s*(.*)$")
+_CLAUSE_RE = re.compile(r"^player\s*=\s*(\d+)\s+remove\s*=\s*(.+)$")
 
 
 def _parse_expr(text: str, n: int, line: int):
@@ -146,41 +151,41 @@ def _at_rows(rows, pattern, what: str, spaces) -> dict[tuple[str, ...], str]:
     return out
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.rows = text.splitlines()
-        self.pos = 0
+def _rows(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped row) of each line that is not blank or a comment."""
+    return [
+        (k, row)
+        for k, raw in enumerate(text.splitlines(), start=1)
+        if (row := raw.strip()) and not row.startswith("#")
+    ]
 
-    def peek(self):
-        while self.pos < len(self.rows):
-            raw = self.rows[self.pos].strip()
-            if raw and not raw.startswith("#"):
-                return self.pos + 1, raw
-            self.pos += 1
+
+def _label_set(text: str) -> frozenset[str] | None:
+    """The labels of a `{a, b}` set, split at commas if it has any and else
+    at blanks, so `{}` is empty; None when text is not braced."""
+    if not (text.startswith("{") and text.endswith("}")):
         return None
-
-    def take(self):
-        item = self.peek()
-        if item is not None:
-            self.pos += 1
-        return item
+    body = text[1:-1].strip()
+    return frozenset(s.strip() for s in body.split("," if "," in body else None))
 
 
 def parse_game(text: str) -> Game:
-    lines = _Lines(text)
-    first = lines.take()
-    if first is None or _GAME_RE.match(first[1]) is None:
-        lineno = 1 if first is None else first[0]
-        raise GameParseError('expected game "<name>" header', lineno)
-    name = _GAME_RE.match(first[1]).group(1)
+    lines = _rows(text)
+    first = lines[0] if lines else (1, "")
+    m = _GAME_RE.match(first[1])
+    if m is None:
+        raise GameParseError('expected game "<name>" header', first[0])
+    name = m.group(1)
 
     spaces: dict[int, object] = {}
     decls: list[tuple[str, int, str, int, list[tuple[int, str]]]] = []
-    while True:
-        item = lines.take()
-        if item is None:
-            break
-        lineno, row = item
+    block = None  # the rows of the open declaration
+    for k in range(1, len(lines)):
+        lineno, row = lines[k]
+        if block is not None and row.startswith(_BLOCK_ROW):
+            block.append(lines[k])
+            continue
+        block = None
         m = _SPACE_RE.match(row)
         if m is not None:
             idx = int(m.group(1))
@@ -208,17 +213,10 @@ def parse_game(text: str) -> Game:
         m = _DECL_RE.match(row)
         if m is None:
             raise GameParseError(f"unrecognized declaration {row!r}", lineno)
-        rows: list[tuple[int, str]] = []
-        while True:
-            nxt = lines.peek()
-            if nxt is None:
-                break
-            if not (nxt[1].startswith("when ") or nxt[1].startswith("at ")):
-                break
-            rows.append(lines.take())
-        if not rows:
+        if k + 1 == len(lines) or not lines[k + 1][1].startswith(_BLOCK_ROW):
             raise GameParseError("declaration block has no rows", lineno)
-        decls.append((m.group(1), int(m.group(2)), m.group(3), lineno, rows))
+        block = []
+        decls.append((m.group(1), int(m.group(2)), m.group(3), lineno, block))
 
     if not spaces:
         raise GameParseError("game declares no strategy spaces", first[0])
@@ -275,16 +273,8 @@ def parse_game(text: str) -> Game:
                 raise GameParseError(
                     "finite spaces take table: blocks", lineno
                 )
-            table = {}
-            for x, body in _at_rows(rows, _AT_TABLE_RE, "table", ordered).items():
-                body = body.strip()
-                sep = "," if "," in body else None
-                table[x] = frozenset(s.strip() for s in body.split(sep))
-            corr = FiniteTable(player, table)
-            try:
-                validate_finite_table(game, corr)
-            except GameError as e:
-                raise GameParseError(str(e), lineno, kind=e.kind) from None
+            sets = _at_rows(rows, _AT_TABLE_RE, "table", ordered)
+            corr = FiniteTable(player, {x: _label_set(s) for x, s in sets.items()})
         else:
             if shape != "piecewise":
                 raise GameParseError(
@@ -305,10 +295,10 @@ def parse_game(text: str) -> Game:
                 )
                 pieces.append(Piece(Cell(factors), value))
             corr = PiecewiseMap(player, tuple(pieces))
-            try:
-                validate_piecewise(game, corr)
-            except GameError as e:
-                raise GameParseError(str(e), lineno, kind=e.kind) from None
+        try:
+            (validate_finite_table if finite else validate_piecewise)(game, corr)
+        except GameError as e:
+            raise GameParseError(str(e), lineno, kind=e.kind) from None
         target[player] = corr
 
     def complete(group: dict, what: str):
@@ -325,20 +315,59 @@ def parse_game(text: str) -> Game:
     pref_tuple = complete(prefs, "pref")
     comp_tuple = complete(comps, "comp")
     util_tuple = complete(utils, "util")
-    if pref_tuple is None:
-        if util_tuple is None:
-            raise GameParseError(
-                "game needs pref blocks or full utility tables", first[0]
-            )
-        game = Game(
-            name=name, spaces=ordered, prefs=(), comps=comp_tuple,
-            utils=util_tuple,
-        )
-        return derive_pref_from_utility(game)
-    return Game(
-        name=name, spaces=ordered, prefs=pref_tuple, comps=comp_tuple,
+    if pref_tuple is None and util_tuple is None:
+        raise GameParseError("game needs pref blocks or full utility tables", first[0])
+    game = Game(
+        name=name, spaces=ordered, prefs=pref_tuple or (), comps=comp_tuple,
         utils=util_tuple,
     )
+    return game if pref_tuple is not None else derive_pref_from_utility(game)
+
+
+class PathScriptError(GameError):
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def parse_path_script(text: str, game: Game) -> list[dict[int, frozenset[str] | IntervalSet]]:
+    """Parse removal steps: `step: player=1 remove=[0,1/2) ; player=2 ...`.
+    A finite game's removals are `{a, b}` label sets, read as in table rows."""
+    steps = []
+    for lineno, row in _rows(text):
+        m = _STEP_RE.match(row)
+        if m is None:
+            raise PathScriptError(f"expected a step: line, got {row!r}", lineno)
+        removals = {}
+        for clause in filter(None, map(str.strip, m.group(1).split(";"))):
+            cm = _CLAUSE_RE.match(clause)
+            if cm is None:
+                raise PathScriptError(f"bad clause {clause!r}", lineno)
+            player = int(cm.group(1))
+            if not 1 <= player <= game.n:
+                raise PathScriptError(f"no player {player} in this game", lineno)
+            if player - 1 in removals:
+                raise PathScriptError(f"player {player} named twice in one step", lineno)
+            settext = cm.group(2)
+            if game.is_finite:
+                labels = _label_set(settext)
+                if labels is None:
+                    why = f"expected {{label,...}} removal, got {settext!r}"
+                    raise PathScriptError(why, lineno)
+                unknown = labels - set(game.labels(player - 1))
+                if unknown:
+                    why = f"unknown strategy {sorted(unknown)[0]!r} for player {player}"
+                    raise PathScriptError(why, lineno)
+                removals[player - 1] = labels
+            else:
+                try:
+                    removals[player - 1] = parse_interval_set(settext)
+                except IntervalSetParseError as e:
+                    raise PathScriptError(str(e), lineno) from None
+        steps.append(removals)
+    if not steps:
+        raise PathScriptError("script contains no steps", 1)
+    return steps
 
 
 def _render_expr(expr) -> str:

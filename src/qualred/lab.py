@@ -280,6 +280,9 @@ def discretize(game: Game, step) -> Game:
 
 @dataclass
 class EnumerationResult:
+    """``condition_D_everywhere`` is computed only when the walk tracks
+    condition D; untracked it reads True, even where D fails."""
+
     pairings: list[Pairing]
     condition_D_everywhere: bool
     visited: int
@@ -303,7 +306,8 @@ def enumerate_maximal_reductions(
     DOUBLE the dominator mask less the bit, else all ones), and the
     inclusion-minimal nonzero dominator masks, all that condition D needs
     to test. A state loops over its movable bits; visited counts every
-    pairing reached.
+    pairing reached. Condition D is tested only with track_condition_D;
+    without it the result's condition_D_everywhere is True unexamined.
 
     Under ARROW and TAIL the walk is order independent. Both remove x from
     H_i when the opponent factors of H are nonempty and the P_i(x, o) over

@@ -19,14 +19,12 @@ ARROW's. Only DOUBLE's lone-removal condition is judged apart.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import and_, sub
 
 from .games import Game, GameError
-from .intervals import IntervalSetParseError, parse_interval_set
 from .engine import (
     Factor,
     Operator,
@@ -74,12 +72,6 @@ class InvalidRemoval(GameError):
         super().__init__(message)
         self.player = player
         self.witness = witness
-
-
-class PathScriptError(GameError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _judge(game: Game, h: Pairing, op: Operator, before: Pairing) -> Pairing:
@@ -194,69 +186,3 @@ def run_path(
 def is_maximal(game: Game, h: Pairing, op: Operator) -> bool:
     """True when no player has anything left to eliminate at h."""
     return not any(eliminated_region(game, h, i, op) for i in range(game.n))
-
-
-_STEP_RE = re.compile(r"^step:\s*(.*)$")
-_CLAUSE_RE = re.compile(r"^player\s*=\s*(\d+)\s+remove\s*=\s*(.+)$")
-_FINITE_SET_RE = re.compile(r"^\{(.*)\}$")
-
-
-def parse_path_script(text: str, game: Game) -> list[dict[int, Factor]]:
-    """Parse removal steps: `step: player=1 remove=[0,1/2) ; player=2 ...`."""
-    steps: list[dict[int, Factor]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = raw.strip()
-        if not row or row.startswith("#"):
-            continue
-        m = _STEP_RE.match(row)
-        if m is None:
-            raise PathScriptError(f"expected a step: line, got {row!r}", lineno)
-        removals: dict[int, Factor] = {}
-        body = m.group(1).strip()
-        clauses = [c.strip() for c in body.split(";")] if body else []
-        for clause in clauses:
-            if not clause:
-                continue
-            cm = _CLAUSE_RE.match(clause)
-            if cm is None:
-                raise PathScriptError(f"bad clause {clause!r}", lineno)
-            player = int(cm.group(1))
-            if not 1 <= player <= game.n:
-                raise PathScriptError(
-                    f"no player {player} in this game", lineno
-                )
-            if player - 1 in removals:
-                raise PathScriptError(
-                    f"player {player} named twice in one step", lineno
-                )
-            settext = cm.group(2).strip()
-            if game.is_finite:
-                fs = _FINITE_SET_RE.match(settext)
-                if fs is None:
-                    raise PathScriptError(
-                        f"expected {{label,...}} removal, got {settext!r}",
-                        lineno,
-                    )
-                inner = fs.group(1).strip()
-                labels = (
-                    frozenset(s.strip() for s in inner.split(","))
-                    if inner
-                    else frozenset()
-                )
-                unknown = labels - set(game.labels(player - 1))
-                if unknown:
-                    raise PathScriptError(
-                        f"unknown strategy {sorted(unknown)[0]!r} "
-                        f"for player {player}",
-                        lineno,
-                    )
-                removals[player - 1] = labels
-            else:
-                try:
-                    removals[player - 1] = parse_interval_set(settext)
-                except IntervalSetParseError as e:
-                    raise PathScriptError(str(e), lineno) from None
-        steps.append(removals)
-    if not steps:
-        raise PathScriptError("script contains no steps", 1)
-    return steps

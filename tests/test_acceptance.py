@@ -16,7 +16,7 @@ from qualred.analysis import (
     check_property_T_single,
     maximal_elements,
 )
-from qualred.dsl import parse_game, serialize_game
+from qualred.dsl import parse_game, parse_path_script, serialize_game
 from qualred.engine import (
     Operator,
     dominator_set,
@@ -35,7 +35,6 @@ from qualred.lab import (
 from qualred.reduction import (
     TraceStatus,
     is_maximal,
-    parse_path_script,
     run_path,
     star_reduce,
 )

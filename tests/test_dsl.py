@@ -2,7 +2,13 @@
 
 import pytest
 
-from qualred.dsl import GameParseError, parse_game, serialize_game
+from qualred.dsl import (
+    GameParseError,
+    PathScriptError,
+    parse_game,
+    parse_path_script,
+    serialize_game,
+)
 
 from conftest import fixture_text
 
@@ -171,6 +177,10 @@ def test_comment_and_blank_lines_ignored():
         + "pref 2 piecewise:\n  when x2 in [0,1]: empty\n"
     g = parse_game(text)
     assert g.name == "t"
+    text = 'game "t"\nspace 1 = finite {a, b}\nspace 2 = finite {c}\n' \
+        + "pref 1 table:\n  at a,c: {b}\n  # c\n\n  at b,c: {}\n" \
+        + "pref 2 table:\n  at a,c: {c}\n  at b,c: {c}\n"
+    assert parse_game(text).prefs[0].table == {("a", "c"): {"b"}, ("b", "c"): set()}
 
 
 def test_serialize_restricted_game_rejected(load_game):
@@ -201,3 +211,85 @@ def test_odd_name_round_trips(load_game):
 
     g = replace(load_game("fx1.qg"), name=" a # b, 'c' ")
     assert parse_game(serialize_game(g)).name == g.name
+
+
+FINITE = 'game "t"\nspace 1 = finite {a, b}\nspace 2 = finite {c}\n'
+PREF1 = "pref 1 table:\n  at a,c: {b}\n  at b,c: {}\n"
+PREF2 = "pref 2 table:\n  at a,c: {c}\n  at b,c: {c}\n"
+PIECES = "pref 1 piecewise:\n  when x1 in [0,1]: empty\npref 2 piecewise:\n  when x2 in [0,1]: empty\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, kind, line",
+    [
+        ("  \n# only a comment\n\n", 'expected game "<name>" header', "syntax", 1),
+        ('game "t"\n', "game declares no strategy spaces", "syntax", 1),
+        ('# c\ngame "t"\n', "game declares no strategy spaces", "syntax", 2),
+        (FINITE + "pref 1 table:\n" + PREF2, "declaration block has no rows", "syntax", 4),
+        (FINITE + PREF1 + "pref 2 table:\n", "declaration block has no rows", "syntax", 7),
+        (FINITE + "pref 1 table:\nbogus\n", "declaration block has no rows", "syntax", 4),
+        (
+            FINITE + "  at a,c: {b}\n" + PREF1 + PREF2,
+            "unrecognized declaration 'at a,c: {b}'", "syntax", 4,
+        ),
+        (
+            FINITE + PREF1 + "space 3 = finite {e}\n  at a,c: {b}\n",
+            "unrecognized declaration 'at a,c: {b}'", "syntax", 8,
+        ),
+        (
+            HEADER + PIECES + "  when x1 in [0,1]: empty\n",
+            "player 2: pieces 1 and 2 overlap at profile ('0', '0')", "overlap", 6,
+        ),
+        (
+            FINITE + "pref 1 table:\n  at a,c: {b}\n  at a,c: {}\n  at b,c: {}\n" + PREF2,
+            "duplicate row for a,c", "overlap", 6,
+        ),
+        (
+            FINITE + "util 1 table:\n  at a,c = 1\nutil 2 table:\n  at a,c = 1\n  at b,c = 0\n",
+            "util 1 has no row for b,c", "uncovered", 4,
+        ),
+        (
+            FINITE + "util 1 table:\n  at a,c = 1\n  at b,c = 0\n",
+            "util declared for some players but not player 2", "syntax", 1,
+        ),
+    ],
+)
+def test_game_diagnostics_name_message_kind_and_place(text, message, kind, line):
+    e = err(text)
+    assert (str(e), e.kind, e.line, e.col) == (f"line {line}, col 1: {message}", kind, line, 1)
+
+
+def script_error(text: str, game) -> PathScriptError:
+    with pytest.raises(PathScriptError) as info:
+        parse_path_script(text, game)
+    return info.value
+
+
+def test_path_script_diagnostics_keep_their_line():
+    g = parse_game(FINITE + PREF1 + PREF2)
+    for text, line, message in [
+        ("# c\n\nstep: player=3 remove={a}\n", 3, "no player 3 in this game"),
+        ("step: player=1 remove={a,}\n", 1, "unknown strategy '' for player 1"),
+        ("step: player=1 remove={a} ; player=1 remove={b}\n", 1, "player 1 named twice in one step"),
+        ("step: player=1 remove=a\n", 1, "expected {label,...} removal, got 'a'"),
+        ("", 1, "script contains no steps"),
+        ("# c\n\n", 1, "script contains no steps"),
+    ]:
+        e = script_error(text, g)
+        assert (str(e), e.line) == (f"line {line}: {message}", line)
+    e = script_error("step: player=1 remove={a}\n", parse_game(HEADER + PIECES))
+    assert (str(e), e.line) == ("line 1: bad interval syntax: '{a}'", 1)
+
+
+def test_path_script_skips_empty_clauses_and_reads_empty_sets():
+    g = parse_game(FINITE + PREF1 + PREF2)
+    steps = parse_path_script("step: player=1 remove={a} ;; player=2 remove={c} ;\n", g)
+    assert steps == [{0: {"a"}, 1: {"c"}}]
+    steps = parse_path_script("step: player=1 remove={}\nstep: player=1 remove={ }\n", g)
+    assert steps == [{0: frozenset()}, {0: frozenset()}]
+
+
+def test_path_script_reads_a_label_set_as_a_table_row_does():
+    g = parse_game(FINITE + PREF1 + PREF2)
+    assert parse_path_script("step: player=1 remove={a b}\n", g) == [{0: {"a", "b"}}]
+    assert parse_path_script("step: player=1 remove={ a , b }\n", g) == [{0: {"a", "b"}}]

@@ -8,17 +8,15 @@ from importlib import resources
 import pytest
 
 from qualred import engine, reduction
-from qualred.dsl import parse_game
+from qualred.dsl import PathScriptError, parse_game, parse_path_script
 from qualred.engine import Operator, _region_where, eliminated_region, full_pairing, restrict
 from qualred.games import GameError
 from qualred.intervals import IntervalSet
 from qualred.lab import GeneratorConfig, generate_game
 from qualred.reduction import (
     InvalidRemoval,
-    PathScriptError,
     TraceStatus,
     is_maximal,
-    parse_path_script,
     path_step,
     run_path,
     star_reduce,
