@@ -15,7 +15,6 @@ from .games import Game, GameError, _Ranks, _ranks, _scan, eval_value
 from .intervals import IntervalSet
 from .engine import (
     Pairing,
-    _finite_rows,
     _region_where,
     dominator_set,
     factor_pick,
@@ -362,7 +361,7 @@ def maximal_elements(game: Game) -> MaximalElements:
     a continuum region comes as its canonical boxes, or raises GameError
     when it is not a finite union of boxes (see ``_continuum_regions``)."""
     if game.is_finite:
-        masks = zip(*(_finite_rows(game, i).flat for i in range(game.n)))
+        masks = zip(*(r.flat for r in _scan(game).rows))
         profiles = list(itertools.compress(game.profiles(), (not any(m) for m in masks)))
         return MaximalElements("profiles", profiles=profiles)
     # reduced to empty sets, the game has no maximal elements: the scan
@@ -409,7 +408,7 @@ def check_preservation(game: Game, final: Pairing) -> PreservationReport:
     """
     if game.is_finite:
         original = maximal_elements(game)
-        rows = [_finite_rows(game, i) for i in range(game.n)]
+        rows = _scan(game).rows
         keep = [sum(b for s, b in r.bit.items() if s in f) for r, f in zip(rows, final)]
         profiles = [
             x

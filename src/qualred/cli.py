@@ -165,6 +165,18 @@ def _parse_script(arg: str, game: Game):
         raise CliError(f"{arg}: {exc}", EXIT_BAD_PATH)
 
 
+def _trace(args, game: Game, validate: bool) -> ReductionTrace:
+    """The trace reduce and preserve report: --path's script, validated or
+    not, else the fast reduction. A refused removal exits 2, as a bad script."""
+    if args.path is None:
+        return star_reduce(game, _OPS[args.op], max_iters=args.max_iters)
+    steps = _parse_script(args.path, game)
+    try:
+        return run_path(game, _OPS[args.op], steps, validate)
+    except InvalidRemoval as exc:
+        raise CliError(f"{args.path}: {exc}", EXIT_BAD_PATH)
+
+
 # Each cmd_* returns (exit code, JSON payload, text lines); main writes
 # whichever of the two reports --format asks for.
 Report = tuple[int, object, list[str]]
@@ -172,14 +184,7 @@ Report = tuple[int, object, list[str]]
 
 def cmd_reduce(args) -> Report:
     game = _load_game(args.game)
-    if args.path is not None:
-        steps = _parse_script(args.path, game)
-        try:
-            trace = run_path(game, _OPS[args.op], steps)
-        except InvalidRemoval as exc:
-            raise CliError(f"{args.path}: {exc}", EXIT_BAD_PATH)
-    else:
-        trace = star_reduce(game, _OPS[args.op], max_iters=args.max_iters)
+    trace = _trace(args, game, validate=True)
     payload = _trace_payload(game, trace)
     return _STATUS_EXIT[trace.status], payload, _trace_lines(payload)
 
@@ -242,16 +247,11 @@ def cmd_maximal(args) -> Report:
 
 def cmd_preserve(args) -> Report:
     game = _load_game(args.game)
-    op = _OPS[args.op]
-    if args.path is not None:
-        steps = _parse_script(args.path, game)
-        trace = run_path(game, op, steps, validate=False)
-    else:
-        trace = star_reduce(game, op, max_iters=args.max_iters)
+    trace = _trace(args, game, validate=False)
     report = check_preservation(game, trace.final)
     payload = {
         "game": game.name,
-        "operator": op.value,
+        "operator": trace.op.value,
         "final": render_pairing(game, trace.final),
         "status": "EQUAL" if report.equal else "NOT-EQUAL",
     }

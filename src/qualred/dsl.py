@@ -349,6 +349,9 @@ def parse_path_script(text: str, game: Game) -> list[dict[int, frozenset[str] | 
             if player - 1 in removals:
                 raise PathScriptError(f"player {player} named twice in one step", lineno)
             settext = cm.group(2)
+            runon = re.search(r"player\s*=", settext)  # never part of a set
+            if runon:
+                raise PathScriptError(f"missing ';' before {settext[runon.start():]!r}", lineno)
             if game.is_finite:
                 labels = _label_set(settext)
                 if labels is None:

@@ -6,19 +6,17 @@ x for player i, taken at a pairing H, is the intersection over all
 opponent profiles in H of the preferred sets P_i(x, .); its members beat x
 against everything the opponents might still play.
 
-Finite games read their compiled tables (``_FiniteRows``), continuum
-games the compiled rank record the checks scan (``games._Ranks``).
+Both read the record the checks scan (``games._scan``): finite games
+their tables compiled to masks (``games._FiniteRows``), continuum games
+their rank record (``games._Ranks``).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, reduce
-from operator import and_
 from typing import Union
 
 from .games import (
@@ -32,6 +30,7 @@ from .games import (
     PiecewiseMap,
     UtilityTable,
     _ranks,
+    _scan,
 )
 from .intervals import IntervalSet
 
@@ -85,87 +84,6 @@ class DominatorSet:
     strategies: Factor
 
 
-class _FiniteRows:
-    """Player i's finite preference table as int masks over game.labels(i).
-
-    A factor of player j is an int with bit k for game.labels(j)[k], and a
-    pairing one int with bit shift_j + k for it, shift_j counting the labels
-    before player j's (self.shift is player i's). The table is read in one
-    pass over game.profiles() into flat, the masks in product order, each
-    distinct row converted once. cols[k][o] is the mask at own strategy
-    labels[k] and opponent profile o (the mixed-radix index of the
-    opponents' labels in product order), flat[(o // inner * len(labels) + k)
-    * inner + o % inner], inner counting the profiles of the players after
-    i: on first use each cols[k] is sliced from flat by stride when inner is
-    1, else chained from runs of inner masks. at(key) memoises in
-    self.masks, per pairing of the opponents alone, the dominator mask of
-    every own strategy in label order: the AND of its column over the
-    surviving opponent profiles. dominators(key) keeps the same masks by
-    label in self.memo, keyed by the opponents' frozensets, h[:i] + h[i + 1 :].
-    """
-
-    def __init__(self, game: Game, i: int):
-        self.labels = game.labels(i)
-        self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
-        sizes = [len(game.labels(j)) for j in range(game.n)]
-        offsets = list(itertools.accumulate(sizes, initial=0))
-        self.shift = offsets[i]
-        self.opp_bits = [
-            {s: 1 << at + k for k, s in enumerate(game.labels(j))}
-            for j, at in enumerate(offsets[:-1])
-            if j != i
-        ]
-        table = game.prefs[i].table
-        try:
-            rows = list(map(table.__getitem__, game.profiles()))
-        except KeyError as missing:
-            raise GameError(f"no table row for profile {missing.args[0]}") from None
-        masks = {f: self.mask(f) for f in set(rows)}
-        self.flat = list(map(masks.__getitem__, rows))
-        self.inner = math.prod(sizes[i + 1 :])
-        self.masks: dict[int, list[int]] = {}
-        self.memo: dict[tuple[frozenset, ...], dict[str, int]] = {}
-
-    @cached_property
-    def cols(self) -> list[list[int]]:
-        inner, flat = self.inner, self.flat
-        block = len(self.labels) * inner or 1
-        if inner == 1:
-            return [flat[k::block] for k in range(len(self.labels))]
-        starts = (range(k * inner, len(flat), block) for k in range(len(self.labels)))
-        return [list(itertools.chain.from_iterable(flat[b : b + inner] for b in r)) for r in starts]
-
-    def mask(self, f: frozenset) -> int:
-        return sum(map(self.bit.__getitem__, f))
-
-    def members(self, m: int) -> frozenset:
-        return frozenset(s for s, b in self.bit.items() if m & b)
-
-    def dominators(self, key: tuple[frozenset, ...]) -> dict[str, int]:
-        if key not in self.memo:
-            packed = sum(sum(map(b.__getitem__, f)) for f, b in zip(key, self.opp_bits))
-            self.memo[key] = dict(zip(self.labels, self.at(packed)))
-        return self.memo[key]
-
-    def at(self, key: int) -> list[int]:
-        if key not in self.masks:
-            flat = [0]
-            for bits in self.opp_bits:
-                size = len(bits)
-                flat = [o * size + k for o in flat for k, b in enumerate(bits.values()) if key & b]
-            full = (1 << len(self.labels)) - 1
-            self.masks[key] = [reduce(and_, map(col.__getitem__, flat), full) for col in self.cols]
-        return self.masks[key]
-
-
-def _finite_rows(game: Game, i: int) -> _FiniteRows:
-    """The compiled form of player i's table, built on first use."""
-    corr = game.prefs[i]
-    if corr._rows is None:
-        corr._rows = _FiniteRows(game, i)
-    return corr._rows
-
-
 def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     """Strategies of player i beating x against every opponent profile in h.
 
@@ -181,7 +99,7 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     if isinstance(corr, FiniteTable):
         if x not in game.labels(i):
             raise GameError(f"strategy {x} is not in player {i + 1}'s space")
-        rows = _finite_rows(game, i)
+        rows = _scan(game).rows[i]
         return DominatorSet(rows.members(rows.dominators(h[:i] + h[i + 1 :])[x]))
 
     if not game.carrier(i).contains(x):
@@ -222,7 +140,7 @@ def _region_where(
         key = h[:i] + h[i + 1 :]
         if not all(key):
             return frozenset()
-        rows = _finite_rows(game, i)
+        rows = _scan(game).rows[i]
         dom = rows.memo.get(key) or rows.dominators(key)
         if member is None and not exclude_self:
             return frozenset(filter(dom.__getitem__, domain))

@@ -10,12 +10,12 @@ the two backends never mix within one game.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
-from operator import xor
-from types import SimpleNamespace
+from functools import cached_property, reduce
+from operator import and_, xor
 from typing import Iterator, Union
 
 from .intervals import Boundary, Interval, IntervalSet
@@ -119,15 +119,13 @@ class PiecewiseMap:
 class FiniteTable:
     """Finite correspondence: each profile maps to a set of own labels.
 
-    A table is treated as immutable once built. The engine caches a
-    compiled form of it in ``_rows`` (left out of equality and repr) on
-    first use, so change a game by building new tables, as ``restrict``,
+    A table is treated as immutable once its game is scanned (see
+    ``_scan``), so change a game by building new tables, as ``restrict``,
     ``discretize`` and derivation do.
     """
 
     player: int
     table: dict[Profile, frozenset[str]]
-    _rows: object = field(default=None, init=False, repr=False, compare=False)
 
 
 CorrMap = Union[PiecewiseMap, FiniteTable]
@@ -223,10 +221,10 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _piece_index(game: Game, corr: PiecewiseMap) -> _PieceIndex:
+def _piece_index(corr: PiecewiseMap, n: int) -> _PieceIndex:
     """The compiled form of a piecewise map, built on first use."""
     if corr._index is None:
-        corr._index = _PieceIndex(corr, game.n)
+        corr._index = _PieceIndex(corr, n)
     return corr._index
 
 
@@ -247,7 +245,7 @@ def _global_breakpoints(game: Game) -> list[Fraction]:
     ends = (*map(game.carrier, range(game.n)), *(c.clip for c in corrs if c.clip))
     values = {e for s in ends for e in s.endpoints()}
     for corr in corrs:
-        index = _piece_index(game, corr)
+        index = _piece_index(corr, game.n)
         values.update(index.consts, *index.cuts)
     return sorted(values)
 
@@ -295,21 +293,23 @@ class _Ranks:
     axes[j], player j's options for ``cells``, and axes[n + j] the first of
     them alone, for a walk that holds coordinate j fixed. ``dominators``
     decides dominance on the compiled prefs, and ``skip`` prunes a walk.
+    It keeps the game's n, maps (prefs, comps) and carriers, not the game,
+    so a game caching it (see ``_scan``) is freed by refcount alone.
     """
 
     def __init__(self, game: Game, points: list[Fraction]):
-        self.game, self.points = game, points
+        self.n, self.maps, self.points = game.n, (game.prefs, game.comps), points
         self.width, self.slots = 4 * (game.n + 2), game.n + 1
         self.rank = {t.as_integer_ratio(): k * self.width for k, t in enumerate(points)}
         self.carriers = [game.carrier(j) for j in range(game.n)]
 
     @cached_property
     def prefs(self) -> tuple:
-        return tuple(map(self._compile, self.game.prefs))
+        return tuple(map(self._compile, self.maps[0]))
 
     @cached_property
     def comps(self) -> tuple | None:
-        return self.game.comps and tuple(map(self._compile, self.game.comps))
+        return self.maps[1] and tuple(map(self._compile, self.maps[1]))
 
     @cached_property
     def axes(self) -> list[list[tuple[int, int, int]]]:
@@ -324,7 +324,7 @@ class _Ranks:
         return out + [axis[:1] for axis in out]
 
     def _compile(self, corr: PiecewiseMap) -> tuple:
-        index, w = _piece_index(self.game, corr), self.width
+        index, w = _piece_index(corr, self.n), self.width
         masks = []
         for cuts, seg in zip(index.cuts, index.masks):
             # the mask at point t (segment a + b) and on the gap above it (2b)
@@ -334,7 +334,7 @@ class _Ranks:
         # a coordinate is read when its mask changes along its carrier or a
         # value end names it; the map is constant along every other one
         reads = {j for j, row in enumerate(masks) if len({row[r] for r, *_ in self.axes[j]}) > 1}
-        reads.update(j for e in ends for j in e[::2] if j < self.game.n)
+        reads.update(j for e in ends for j in e[::2] if j < self.n)
         return masks, ends, clip, factors, frozenset(reads)
 
     @staticmethod
@@ -342,7 +342,7 @@ class _Ranks:
         return m[4]
 
     def shape(self, corr: PiecewiseMap) -> tuple:
-        n = self.game.n
+        n = self.n
 
         def end(e: EndpointExpr, offset: int) -> tuple[int, int]:
             if isinstance(e, Const):
@@ -512,34 +512,114 @@ class _Ranks:
         walk.send(True)
 
 
-def _same(t):
-    return t
+class _Tables:
+    """A finite game compiled for the scans: ``_Ranks``' attributes over
+    the label profiles, values as eval_value's, every map reading every
+    coordinate; and the layout of ``_FiniteRows``, computed once: labels[j]
+    are player j's labels, bits[j] maps label k to its bit 1 << shifts[j] +
+    k in a packed pairing. rows, one ``_FiniteRows`` per player, are built
+    on first read, as the checks read the tables alone. It keeps the
+    tables, not the game, so a game caching it is freed by refcount alone.
+    """
+
+    # a product walk goes on: skipped points never fault
+    skip = coord = profile = staticmethod(lambda t: t)
+
+    def __init__(self, game: Game):
+        self.prefs, self.comps = game.prefs, game.comps
+        self.labels, every = tuple(map(game.labels, range(game.n))), frozenset(range(game.n))
+        self.reads = lambda corr: every
+        self.shifts = list(itertools.accumulate(map(len, self.labels), initial=0))
+        bits = (enumerate(labels, at) for at, labels in zip(self.shifts, self.labels))
+        self.bits = [{s: 1 << k for k, s in b} for b in bits]
+
+    def cells(self, players: list[int]):
+        return itertools.product(*map(self.labels.__getitem__, players))
+
+    @staticmethod
+    def value(corr: FiniteTable, profile: Profile) -> frozenset[str]:
+        try:
+            return corr.table[profile]
+        except KeyError:
+            raise GameError(f"no table row for profile {profile}") from None
+
+    @cached_property
+    def rows(self) -> tuple[_FiniteRows, ...]:
+        return tuple(_FiniteRows(self, i) for i in range(len(self.labels)))
 
 
-def _label_cells(game: Game, players: list[int]):
-    return itertools.product(*map(game.labels, players))
+class _FiniteRows:
+    """Player i's finite preference table as int masks over labels[i] of a
+    ``_Tables`` record, in its layout: a factor of player j is an int with
+    bit k for labels[j][k], and a pairing one int with bit shifts[j] + k for
+    it (self.shift is player i's). The table is read in one pass over the
+    label profiles into flat, the masks in product order, each distinct row
+    converted once. cols[k][o] is the mask at own strategy labels[k] and
+    opponent profile o (the mixed-radix index of the opponents' labels in
+    product order), flat[(o // inner * len(labels) + k) * inner + o % inner],
+    inner counting the profiles of the players after i: on first use each
+    cols[k] is sliced from flat by stride when inner is 1, else chained from
+    runs of inner masks. at(key) memoises in self.masks, per pairing of the
+    opponents alone, the dominator mask of every own strategy in label
+    order: the AND of its column over the surviving opponent profiles.
+    dominators(key) keeps the same masks by label in self.memo, keyed by the
+    opponents' frozensets, h[:i] + h[i + 1 :].
+    """
+
+    def __init__(self, scan: _Tables, i: int):
+        self.labels, self.shift = scan.labels[i], scan.shifts[i]
+        self.bit = {s: 1 << k for k, s in enumerate(self.labels)}
+        self.opp_bits = scan.bits[:i] + scan.bits[i + 1 :]
+        table = scan.prefs[i].table
+        try:
+            rows = list(map(table.__getitem__, itertools.product(*scan.labels)))
+        except KeyError as missing:
+            raise GameError(f"no table row for profile {missing.args[0]}") from None
+        masks = {f: self.mask(f) for f in set(rows)}
+        self.flat = list(map(masks.__getitem__, rows))
+        self.inner = math.prod(map(len, scan.labels[i + 1 :]))
+        self.masks: dict[int, list[int]] = {}
+        self.memo: dict[tuple[frozenset, ...], dict[str, int]] = {}
+
+    @cached_property
+    def cols(self) -> list[list[int]]:
+        inner, flat = self.inner, self.flat
+        block = len(self.labels) * inner or 1
+        if inner == 1:
+            return [flat[k::block] for k in range(len(self.labels))]
+        starts = (range(k * inner, len(flat), block) for k in range(len(self.labels)))
+        return [list(itertools.chain.from_iterable(flat[b : b + inner] for b in r)) for r in starts]
+
+    def mask(self, f: frozenset) -> int:
+        return sum(map(self.bit.__getitem__, f))
+
+    def members(self, m: int) -> frozenset:
+        return frozenset(s for s, b in self.bit.items() if m & b)
+
+    def dominators(self, key: tuple[frozenset, ...]) -> dict[str, int]:
+        if key not in self.memo:
+            packed = sum(sum(map(b.__getitem__, f)) for f, b in zip(key, self.opp_bits))
+            self.memo[key] = dict(zip(self.labels, self.at(packed)))
+        return self.memo[key]
+
+    def at(self, key: int) -> list[int]:
+        if key not in self.masks:
+            flat = [0]
+            for bits in self.opp_bits:
+                size = len(bits)
+                flat = [o * size + k for o in flat for k, b in enumerate(bits.values()) if key & b]
+            full = (1 << len(self.labels)) - 1
+            self.masks[key] = [reduce(and_, map(col.__getitem__, flat), full) for col in self.cols]
+        return self.masks[key]
 
 
-def _scan(game: Game):
-    """What the scans of ``analysis`` read, built on a game's first scan
-    and cached in game._scan: the ``_Ranks`` of a continuum game over its
-    cut points, or for a finite game a stand-in with its attributes over
-    the label profiles, whose values are eval_value's and whose maps read
-    every coordinate."""
-    if game._scan is None and game.is_finite:
-        every = frozenset(range(game.n))
-        game._scan = SimpleNamespace(
-            prefs=game.prefs,
-            comps=game.comps,
-            reads=lambda corr: every,
-            skip=_same,  # a product walk goes on: skipped points never fault
-            cells=partial(_label_cells, game),
-            value=partial(eval_value, game),
-            coord=_same,
-            profile=_same,
-        )
-    elif game._scan is None:
-        game._scan = _Ranks(game, _global_breakpoints(game))
+def _scan(game: Game) -> _Ranks | _Tables:
+    """What the scans of ``analysis`` and the engine's finite masks read,
+    built on a game's first scan and cached in game._scan: the ``_Ranks``
+    of a continuum game over its cut points, or the ``_Tables`` of a
+    finite one. Neither holds the game."""
+    if game._scan is None:
+        game._scan = _Tables(game) if game.is_finite else _Ranks(game, _global_breakpoints(game))
     return game._scan
 
 
@@ -566,11 +646,8 @@ def eval_value(game: Game, corr: CorrMap, profile: Profile):
     wins. Nothing is cached across calls but the index itself.
     """
     if isinstance(corr, FiniteTable):
-        try:
-            return corr.table[profile]
-        except KeyError:
-            raise GameError(f"no table row for profile {profile}") from None
-    index = _piece_index(game, corr)
+        return _Tables.value(corr, profile)
+    index = _piece_index(corr, game.n)
     mask = index.full
     for j, x in enumerate(profile):
         mask &= index.masks[j][index.segment(j, x)]
@@ -648,7 +725,7 @@ def validate_piecewise(game: Game, corr: PiecewiseMap) -> None:
     whenever any endpoint can leave the carrier.
     """
     i = corr.player - 1
-    index = _piece_index(game, corr)
+    index = _piece_index(corr, game.n)
     axes = [
         [(t, index.masks[j][index.segment(j, t)]) for *_, t in game.carrier(j).split(cut)]
         for j, cut in enumerate(index.cuts)

@@ -26,7 +26,7 @@ from .analysis import (
     check_preservation,
 )
 from .dsl import serialize_game
-from .engine import Operator, Pairing, _finite_rows, render_pairing, restrict
+from .engine import Operator, Pairing, render_pairing, restrict
 from .games import (
     FiniteSpace,
     FiniteTable,
@@ -37,6 +37,7 @@ from .games import (
     _piece_index,
     _Ranks,
     _Span,
+    _scan,
     derive_pref_from_utility,
     eval_value,
 )
@@ -201,7 +202,7 @@ def discretize(game: Game, step) -> Game:
 
     point, unit, axes = dict(zip(map(scaled, cuts), cuts)), scaled(step), []
     for j in range(game.n):
-        own = {scaled(t) for c in corrs for t in _piece_index(game, c).cuts[j]}
+        own = {scaled(t) for c in corrs for t in _piece_index(c, game.n).cuts[j]}
         axis: list[int] = []
         for part in game.carrier(j).parts:
             lo, hi = scaled(part.lo.value), scaled(part.hi.value)
@@ -299,7 +300,7 @@ def enumerate_maximal_reductions(
 
     Exhaustive depth-first walk with memoized pairings; games larger than
     the bound (product of strategy counts) are refused. A pairing is one
-    int packed as in engine._FiniteRows, marked seen when pushed; a child
+    int packed as in games._Tables, marked seen when pushed; a child
     clears one bit. Per player and opponents' bits (the pairing less the
     player's field), a plan is memoised from the dominator masks: each
     movable bit with the mask the pairing must meet for it to go (under
@@ -331,9 +332,8 @@ def enumerate_maximal_reductions(
             size,
             bound,
         )
-    rows = [_finite_rows(game, i) for i in range(game.n)]
-    double = op is Operator.DOUBLE
-    fields = [(1 << len(r.labels)) - 1 << r.shift for r in rows]
+    scan, double = _scan(game), op is Operator.DOUBLE
+    rows, fields = scan.rows, [sum(bits.values()) for bits in scan.bits]
     plans: list[dict[int, tuple]] = [{} for _ in rows]
 
     def plan(i: int, key: int) -> tuple[int, dict[int, int], list[int]]:
@@ -373,7 +373,7 @@ def enumerate_maximal_reductions(
                         stack.append(child)
         if not progressed:
             maximal.append(
-                tuple(tuple(lab for lab in r.labels if s >> r.shift & r.bit[lab]) for r in rows)
+                tuple(tuple(lab for lab, b in bits.items() if s & b) for bits in scan.bits)
             )
     return EnumerationResult(
         pairings=[tuple(map(frozenset, key)) for key in sorted(maximal)],

@@ -141,11 +141,12 @@ def _reduce(game: Game, op: Operator, steps, validate: bool | None) -> Reduction
         audits.append(audit)
         valids.append(valid)
         if not all(h):
-            status = TraceStatus.VACUOUS
             break
     else:  # a script that stops short of a fixpoint ran out of steps
         if validate is not None and not any(map(and_, judged or _judge(game, h, op, h), h)):
-            status = TraceStatus.CONVERGED if all(h) else TraceStatus.VACUOUS
+            status = TraceStatus.CONVERGED
+    if not all(h):  # one rule for both: an empty factor, even the full pairing's, is vacuous
+        status = TraceStatus.VACUOUS
     return ReductionTrace(
         game.name, op, "fast" if validate is None else "path", tuple(stages), status,
         fast_condition_audit=tuple(audits), path_valid=None if validate is None else tuple(valids),

@@ -72,6 +72,19 @@ def test_invalid_elimination_exit_2(capsys):
     assert "not eliminable" in err
 
 
+@pytest.mark.parametrize("command", ["reduce", "preserve"])
+def test_removal_outside_the_current_set_exit_2(capsys, tmp_path, command):
+    # preserve runs the script unvalidated, but a removal of a strategy
+    # already gone is refused by both commands alike
+    script = tmp_path / "twice.path"
+    script.write_text("step: player=1 remove={b}\nstep: player=1 remove={b}\n")
+    code, out, err = run(capsys, [command, "fxf1.qg", "--path", str(script)])
+    assert code == 2
+    assert err == (
+        f"qualred: {script}: player 1: removal of b is outside the current strategy set\n"
+    )
+
+
 def test_check_hypotheses_pass_and_fail(capsys):
     code, payload = run_json(
         capsys,

@@ -281,6 +281,17 @@ def test_path_script_diagnostics_keep_their_line():
     assert (str(e), e.line) == ("line 1: bad interval syntax: '{a}'", 1)
 
 
+def test_path_script_names_a_missing_semicolon_between_clauses():
+    finite, continuum = parse_game(FINITE + PREF1 + PREF2), parse_game(HEADER + PIECES)
+    for game, first, rest in [
+        (finite, "player=1 remove={a} ", "player=2 remove={c}"),
+        (finite, "player=1 remove={a}", "player = 2 remove={c}"),
+        (continuum, "player=1 remove=[0,1] ", "player=2 remove=[0,1]"),
+    ]:
+        e = script_error(f"# c\nstep: {first}{rest}\n", game)
+        assert (str(e), e.line) == (f"line 2: missing ';' before {rest!r}", 2)
+
+
 def test_path_script_skips_empty_clauses_and_reads_empty_sets():
     g = parse_game(FINITE + PREF1 + PREF2)
     steps = parse_path_script("step: player=1 remove={a} ;; player=2 remove={c} ;\n", g)

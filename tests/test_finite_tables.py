@@ -1,6 +1,6 @@
 """Compiled finite tables and finite maximal elements against eval_value.
 
-The engine compiles each finite preference table into per-player int masks
+The scan record compiles each finite preference table into per-player int masks
 in one pass over the profiles, gathering each own strategy's column by
 stride, and finite maximal_elements reads those masks in product order.
 These tests rebuild every column and every maximal list here from
@@ -18,8 +18,8 @@ import pytest
 
 from qualred.analysis import check_preservation, maximal_elements
 from qualred.dsl import parse_game
-from qualred.engine import Operator, _finite_rows, restrict
-from qualred.games import GameError, eval_value
+from qualred.engine import Operator, restrict
+from qualred.games import GameError, _scan, eval_value
 from qualred.lab import GeneratorConfig, discretize, generate_game
 from qualred.reduction import star_reduce
 
@@ -80,7 +80,7 @@ def ref_maximal(game) -> list[tuple]:
 
 def assert_compiled(game):
     for i in range(game.n):
-        assert _finite_rows(game, i).cols == ref_cols(game, i), (game.name, i)
+        assert _scan(game).rows[i].cols == ref_cols(game, i), (game.name, i)
     assert maximal_elements(game).profiles == ref_maximal(game), game.name
 
 
@@ -119,7 +119,7 @@ def test_restriction_with_an_empty_factor():
         assert not list(small.profiles())
         assert_compiled(small)
         for i in range(small.n):
-            assert _finite_rows(small, i).cols == [[]] * len(small.labels(i))
+            assert _scan(small).rows[i].cols == [[]] * len(small.labels(i))
 
 
 def test_missing_row_message_is_unchanged():
@@ -128,7 +128,7 @@ def test_missing_row_message_is_unchanged():
     with pytest.raises(GameError) as want:
         eval_value(game, game.prefs[1], ("a", "d"))
     with pytest.raises(GameError) as got:
-        _finite_rows(game, 1)
+        _scan(game).rows[1]
     assert str(got.value) == str(want.value) == "no table row for profile ('a', 'd')"
 
 

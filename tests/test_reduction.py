@@ -127,6 +127,15 @@ def test_vacuous_when_everything_removed(load_game):
     assert t.status is TraceStatus.VACUOUS
 
 
+@pytest.mark.parametrize("op", list(Operator))
+def test_an_empty_factor_from_the_start_is_vacuous(load_game, op):
+    # both reductions read one rule: a trace ending at an empty factor is vacuous
+    g = restrict(load_game("fxf1.qg"), (frozenset(), frozenset({"c", "d"})))
+    fast, path = star_reduce(g, op), run_path(g, op, [{}])
+    assert fast.stages == path.stages[:1] == (full_pairing(g),)
+    assert fast.status is path.status is TraceStatus.VACUOUS
+
+
 def test_path_script_parse_errors(load_game):
     g = load_game("fx1.qg")
     with pytest.raises(PathScriptError) as info:
