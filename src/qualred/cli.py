@@ -68,8 +68,11 @@ class CliError(Exception):
 def _read_input(path: str) -> str:
     """Read a file, falling back to the bundled fixture of that name."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError(f"cannot read {path!r}: {getattr(exc, 'strerror', exc)}", EXIT_PARSE)
     if os.sep not in path:
         bundled = resources.files("qualred").joinpath("fixtures", path)
         if bundled.is_file():
@@ -103,9 +106,12 @@ def _paint(word: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:  # a bad --out is a usage error
+        raise CliError(f"cannot write {out!r}: {exc.strerror}", EXIT_BAD_PATH)
 
 
 def _json_text(payload) -> str:
@@ -405,11 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
+        _emit(_json_text(payload) if args.format == "json" else "\n".join(lines) + "\n", args.out)
     except (CliError, GameError) as exc:
         print(f"qualred: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_PARSE
-    text = _json_text(payload) if args.format == "json" else "\n".join(lines) + "\n"
-    _emit(text, args.out)
     return code
 
 

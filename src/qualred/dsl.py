@@ -35,6 +35,7 @@ from .games import (
     PiecewiseMap,
     SymInterval,
     UtilityTable,
+    _table_rows,
     derive_pref_from_utility,
     validate_finite_table,
     validate_piecewise,
@@ -405,8 +406,8 @@ def serialize_game(game: Game) -> str:
         if isinstance(corr, FiniteTable):
             out.append(f"{kw} {corr.player} table:")
             order = {s: j for j, s in enumerate(game.labels(corr.player - 1))}
-            for x in game.profiles():
-                labels = sorted(corr.table[x], key=order.__getitem__)
+            for x, row in zip(game.profiles(), _table_rows(corr, game.profiles())):
+                labels = sorted(row, key=order.__getitem__)
                 out.append(f"  at {','.join(x)}: {{{', '.join(labels)}}}")
         else:
             if corr.clip is not None:
@@ -434,6 +435,6 @@ def serialize_game(game: Game) -> str:
     if game.utils is not None:
         for u in game.utils:
             out.append(f"util {u.player} table:")
-            for x in game.profiles():
-                out.append(f"  at {','.join(x)} = {u.table[x]}")
+            for x, v in zip(game.profiles(), _table_rows(u, game.profiles())):
+                out.append(f"  at {','.join(x)} = {v}")
     return "\n".join(out) + "\n"

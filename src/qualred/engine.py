@@ -31,6 +31,7 @@ from .games import (
     UtilityTable,
     _ranks,
     _scan,
+    _table_rows,
 )
 from .intervals import IntervalSet
 
@@ -189,11 +190,12 @@ def restrict(game: Game, h: Pairing) -> Game:
         kept = list(itertools.product(*(s.labels for s in spaces)))
 
         def cut(corr: FiniteTable, i: int) -> FiniteTable:
-            return FiniteTable(corr.player, {x: corr.table[x] & h[i] for x in kept})
+            rows = zip(kept, _table_rows(corr, kept))
+            return FiniteTable(corr.player, {x: v & h[i] for x, v in rows})
 
         if utils is not None:
             utils = tuple(
-                UtilityTable(u.player, {x: u.table[x] for x in kept}) for u in utils
+                UtilityTable(u.player, dict(zip(kept, _table_rows(u, kept)))) for u in utils
             )
     else:
         spaces = tuple(ContinuumSpace(h[i]) for i in range(game.n))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, xor
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
-from .intervals import Boundary, Interval, IntervalSet
+from .intervals import Boundary, IntervalSet, _part
 
 
 class GameError(ValueError):
@@ -252,8 +252,10 @@ def _global_breakpoints(game: Game) -> list[Fraction]:
 
 class _Span(tuple):
     """A continuum value in rank space (see ``_Ranks``): the (lo, hi) int
-    bounds of its parts in order, an open end one rank inside, as members
-    have even ranks. It has the IntervalSet operators the scans read."""
+    bounds of its parts in order. An end's key is (value, offset), offset 0
+    closed, +1 open lower, -1 open upper (see ``intervals``), and its bound
+    is the value's rank plus the offset: members have even ranks, so an open
+    end sits one rank inside. It has the IntervalSet operators the scans read."""
 
     __slots__ = ()
 
@@ -359,6 +361,8 @@ class _Ranks:
         return ends, None if corr.clip is None else self.span(corr.clip), factors
 
     def span(self, s: IntervalSet) -> _Span:
+        """The _Span of a set whose ends are points: an end's key (value,
+        offset) goes to the value's rank plus the offset."""
         rank = self.rank
         return _Span(
             (
@@ -369,21 +373,18 @@ class _Ranks:
         )
 
     def back(self, parts, coord=None) -> IntervalSet:
-        """The IntervalSet of rank parts, such as a _Span's: an even end is
-        closed at its rank, an odd one open at the even rank beside it, read
-        by coord (default ``coord``). Parts that overlap or meet at a rank
-        (lo <= last hi + 1) are merged as ints first, so it is canonical."""
+        """The IntervalSet of rank parts, such as a _Span's: an end at rank r
+        has offset r & 1 at a lower end and -(r & 1) at an upper one, and the
+        value coord (default ``coord``) reads at r less the offset. Parts that
+        overlap or meet (lo <= last hi + 1) are merged as ints, so canonical."""
         coord, merged = coord or self.coord, []
         for lo, hi in sorted(parts):
             if merged and lo <= merged[-1][1] + 1:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
-
-        def end(r: int, side: int) -> Boundary:  # side -1 at a lower end, 1 at an upper
-            return Boundary(coord(r + side * (r & 1)), not r & 1)
-
-        return IntervalSet(tuple(Interval(end(lo, -1), end(hi, 1)) for lo, hi in merged))
+        ends = (((coord(a - (a & 1)), a & 1), (coord(b + (b & 1)), -(b & 1))) for a, b in merged)
+        return IntervalSet(tuple(itertools.starmap(_part, ends)))
 
     def part(self, r: int) -> tuple[int, int]:
         """The rank part of the point at r, or of the open gap holding r."""
@@ -661,13 +662,17 @@ def piece_value(corr: PiecewiseMap, piece: Piece, profile: Profile) -> IntervalS
     v = piece.value
     if isinstance(v, EmptyValue):
         return IntervalSet.empty()
-    lo = Boundary(resolve_endpoint(v.lo, profile), v.lo_closed)
-    hi = Boundary(resolve_endpoint(v.hi, profile), v.hi_closed)
-    try:
-        out = IntervalSet((Interval(lo, hi),))
-    except ValueError:  # reversed endpoints
-        return IntervalSet.empty()
+    lo, hi = resolve_endpoint(v.lo, profile), resolve_endpoint(v.hi, profile)
+    out = IntervalSet.interval(lo, hi, v.lo_closed, v.hi_closed)
     return out if corr.clip is None else out & corr.clip
+
+
+def _table_rows(corr: FiniteTable | UtilityTable, profiles: Iterable[Profile]) -> list:
+    """corr's rows at the profiles, in order; a missing one is a GameError."""
+    try:
+        return [corr.table[x] for x in profiles]
+    except KeyError as e:
+        raise GameError(f"player {corr.player}: no table row for profile {e.args[0]}") from None
 
 
 def derive_pref_from_utility(game: Game) -> Game:
@@ -682,11 +687,14 @@ def derive_pref_from_utility(game: Game) -> Game:
         raise GameError("game has no utility tables")
     prefs = []
     for i in range(game.n):
-        u = game.utils[i].table
-        rows = {}
+        util = game.utils[i]
+        u, rows = util.table, {}
         opp_axes = [game.labels(j) for j in range(game.n) if j != i]
         for opp in itertools.product(*opp_axes):
-            value = {y: u[opp[:i] + (y,) + opp[i:]] for y in game.labels(i)}
+            try:
+                value = {y: u[opp[:i] + (y,) + opp[i:]] for y in game.labels(i)}
+            except KeyError as missing:  # look the row up again, to raise the GameError
+                _table_rows(util, missing.args)
             row = rows[opp] = {}
             above: list[str] = []
             for y in sorted(value, key=value.__getitem__, reverse=True):
@@ -761,17 +769,14 @@ def validate_piecewise(game: Game, corr: PiecewiseMap) -> None:
             f"overlap at profile {at}",
             kind="overlap",
         )
-    carrier = game.carrier(i)
     for idx, piece in enumerate(corr.pieces):
         if isinstance(piece.value, EmptyValue):
             continue
         v = piece.value
         lo = _endpoint_hull(v.lo, v.lo_closed, piece.cell, low_side=True)
         hi = _endpoint_hull(v.hi, v.hi_closed, piece.cell, low_side=False)
-        if lo.lo_key() > hi.hi_key():
-            continue
-        hull = IntervalSet((Interval(lo, hi),))
-        if not hull.is_subset(carrier):
+        hull = IntervalSet.interval(lo.value, hi.value, lo.closed, hi.closed)
+        if not hull <= game.carrier(i):
             raise GameError(
                 f"player {corr.player}: piece {idx + 1} value can leave "
                 f"the carrier (reaches {hull.render()})",

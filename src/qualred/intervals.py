@@ -1,9 +1,12 @@
 """Exact interval-set algebra over the rationals.
 
 Sets are finite unions of intervals with rational endpoints and explicit
-open/closed boundaries, kept in a canonical form: parts sorted, pairwise
-disjoint, and not mergeable (two parts touching at a point where at least
-one side is closed would have been merged).
+open/closed ends. One rule places every end: its key is (value, offset),
+offset 0 for a closed end, +1 for an open lower end and -1 for an open
+upper end. A part is the key range [lo key, hi key], empty when lo > hi.
+Intersection and difference cut key ranges. A set's builder sorts them,
+merging a range into the last when its lo key is at most (v, o + 1) for
+the last hi key (v, o), so parts stay sorted and apart by a point.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+Key = tuple[Fraction, int]
+
 
 @dataclass(frozen=True, order=False)
 class Boundary:
@@ -21,16 +26,11 @@ class Boundary:
     value: Fraction
     closed: bool
 
-    def lo_key(self) -> tuple[Fraction, int]:
-        # (v, 0) sorts before (v, 1): a closed lower end admits v itself.
+    def lo_key(self) -> Key:
         return (self.value, 0 if self.closed else 1)
 
-    def hi_key(self) -> tuple[Fraction, int]:
+    def hi_key(self) -> Key:
         return (self.value, 0 if self.closed else -1)
-
-
-def _point_key(p: Fraction) -> tuple[Fraction, int]:
-    return (p, 0)
 
 
 @dataclass(frozen=True)
@@ -53,56 +53,39 @@ class Interval:
         return self.lo.value == self.hi.value
 
     def contains(self, p: Fraction) -> bool:
-        return self.lo.lo_key() <= _point_key(p) <= self.hi.hi_key()
+        return self.lo.lo_key() <= (p, 0) <= self.hi.hi_key()
 
     def render(self) -> str:
-        if self.is_degenerate():
-            return "{%s}" % self.lo.value
-        return self._raw()
+        return "{%s}" % self.lo.value if self.is_degenerate() else self._raw()
 
 
-def _maybe_interval(lo: Boundary, hi: Boundary) -> Interval | None:
-    if lo.lo_key() <= hi.hi_key():
-        return Interval(lo, hi)
-    return None
+def _keys(part: Interval) -> tuple[Key, Key]:
+    return part.lo.lo_key(), part.hi.hi_key()
 
 
-def _mergeable(left: Interval, right: Interval) -> bool:
-    # right.lo >= left.lo by sort order; merge on overlap or on touching
-    # endpoints where at least one side is closed.
-    if right.lo.value < left.hi.value:
-        return True
-    if right.lo.value == left.hi.value:
-        return right.lo.closed or left.hi.closed
-    return False
+def _part(lo: Key, hi: Key) -> Interval:
+    """The part of a nonempty key range, not checked again: offset 0 is closed."""
+    part = object.__new__(Interval)
+    object.__setattr__(part, "lo", Boundary(lo[0], not lo[1]))
+    object.__setattr__(part, "hi", Boundary(hi[0], not hi[1]))
+    return part
 
 
-def _part_intersect(a: Interval, b: Interval) -> Interval | None:
-    lo = a.lo if a.lo.lo_key() >= b.lo.lo_key() else b.lo
-    hi = a.hi if a.hi.hi_key() <= b.hi.hi_key() else b.hi
-    return _maybe_interval(lo, hi)
-
-
-def _part_minus(a: Interval, b: Interval) -> list[Interval]:
-    out = []
-    left_hi = Boundary(b.lo.value, not b.lo.closed)
-    if left_hi.hi_key() > a.hi.hi_key():
-        left_hi = a.hi
-    left = _maybe_interval(a.lo, left_hi)
-    if left is not None:
-        out.append(left)
-    right_lo = Boundary(b.hi.value, not b.hi.closed)
-    if right_lo.lo_key() < a.lo.lo_key():
-        right_lo = a.lo
-    right = _maybe_interval(right_lo, a.hi)
-    if right is not None:
-        out.append(right)
-    return out
+def _build(ranges: Iterable[tuple[Key, Key]]) -> IntervalSet:
+    """The set of nonempty key ranges sorted by lo key, each merged into the
+    previous one when its lo key is at most the key right after that one's hi."""
+    merged: list[list[Key]] = []
+    for lo, hi in ranges:
+        if merged and lo <= (merged[-1][1][0], merged[-1][1][1] + 1):
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return IntervalSet(tuple(_part(lo, hi) for lo, hi in merged))
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of intervals."""
+    """Canonical finite union of intervals; parts not known canonical go through from_parts."""
 
     parts: tuple[Interval, ...]
 
@@ -112,34 +95,20 @@ class IntervalSet:
 
     @staticmethod
     def point(p: Fraction | int) -> "IntervalSet":
-        b = Boundary(Fraction(p), True)
-        return IntervalSet((Interval(b, b),))
+        return IntervalSet.interval(p, p)
 
     @staticmethod
     def interval(
-        lo: Fraction | int,
-        hi: Fraction | int,
-        lo_closed: bool = True,
-        hi_closed: bool = True,
+        lo: Fraction | int, hi: Fraction | int, lo_closed: bool = True, hi_closed: bool = True
     ) -> "IntervalSet":
         """Build from endpoints; an empty or reversed range gives the empty set."""
-        part = _maybe_interval(
-            Boundary(Fraction(lo), lo_closed), Boundary(Fraction(hi), hi_closed)
-        )
-        return IntervalSet(() if part is None else (part,))
+        lo_key = (lo if isinstance(lo, Fraction) else Fraction(lo), 0 if lo_closed else 1)
+        hi_key = (hi if isinstance(hi, Fraction) else Fraction(hi), 0 if hi_closed else -1)
+        return _build([(lo_key, hi_key)] if lo_key <= hi_key else [])
 
     @staticmethod
     def from_parts(parts: Iterable[Interval]) -> "IntervalSet":
-        ordered = sorted(parts, key=lambda p: (p.lo.lo_key(), p.hi.hi_key()))
-        merged: list[Interval] = []
-        for part in ordered:
-            if merged and _mergeable(merged[-1], part):
-                prev = merged.pop()
-                hi = prev.hi if prev.hi.hi_key() >= part.hi.hi_key() else part.hi
-                merged.append(Interval(prev.lo, hi))
-            else:
-                merged.append(part)
-        return IntervalSet(tuple(merged))
+        return _build(sorted(map(_keys, parts)))
 
     @property
     def is_empty(self) -> bool:
@@ -151,17 +120,12 @@ class IntervalSet:
     def endpoints(self) -> Iterator[Fraction]:
         """The end values of every part, lower then upper, in order."""
         for part in self.parts:
-            yield part.lo.value
-            yield part.hi.value
+            yield from (part.lo.value, part.hi.value)
 
     def contains(self, p: Fraction | int) -> bool:
-        if not isinstance(p, Fraction):
-            p = Fraction(p)
         return any(part.contains(p) for part in self.parts)
 
-    def split(
-        self, cuts: Iterable[Fraction]
-    ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    def split(self, cuts: Iterable[Fraction]) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         """The set cut at the cuts and at its own endpoints, in order, as
         (a, b, t): a == b == t for each cut point in the set, and t the
         midpoint of each open gap (a, b) between consecutive cuts that lies
@@ -169,83 +133,73 @@ class IntervalSet:
         wholly in or out of the set, so its midpoint decides.
         """
         points = sorted(set(cuts).union(self.endpoints()))
-        for k, a in enumerate(points):
+        for a, b in zip(points, points[1:] + [None]):
             if a in self:
                 yield a, a, a
-            if k + 1 < len(points):
-                b = points[k + 1]
-                if (mid := (a + b) / 2) in self:
-                    yield a, b, mid
+            if b is not None and (mid := (a + b) / 2) in self:
+                yield a, b, mid
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_parts(self.parts + other.parts)
 
+    # Cuts of canonical operands come out canonical and in order: two cuts that
+    # would merge make one interval inside one part of each operand, one cut.
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        hits = []
+        cuts, others = [], list(map(_keys, other.parts))
         for a in self.parts:
-            for b in other.parts:
-                cut = _part_intersect(a, b)
-                if cut is not None:
-                    hits.append(cut)
-        return IntervalSet.from_parts(hits)
+            alo, ahi = _keys(a)
+            for blo, bhi in others:
+                lo, hi = max(alo, blo), min(ahi, bhi)
+                if lo <= hi:
+                    cuts.append(a if lo is alo and hi is ahi else _part(lo, hi))
+        return IntervalSet(tuple(cuts))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        pieces = list(self.parts)
-        for b in other.parts:
-            pieces = [frag for a in pieces for frag in _part_minus(a, b)]
-        return IntervalSet.from_parts(pieces)
+        # each part cut below every part of other, then resumed right after it
+        cuts, others = [], list(map(_keys, other.parts))
+        for lo, hi in map(_keys, self.parts):
+            for blo, bhi in others:
+                below = min(hi, (blo[0], blo[1] - 1))
+                if lo <= below:
+                    cuts.append(_part(lo, below))
+                lo = max(lo, (bhi[0], bhi[1] + 1))
+            if lo <= hi:
+                cuts.append(_part(lo, hi))
+        return IntervalSet(tuple(cuts))
 
     def is_subset(self, other: "IntervalSet") -> bool:
         # canonical parts are separated, so a part lies in the union of
         # other's parts only if it lies in one of them
-        return all(
-            any(
-                b.lo.lo_key() <= a.lo.lo_key() and a.hi.hi_key() <= b.hi.hi_key()
-                for b in other.parts
-            )
-            for a in self.parts
-        )
+        return all(any(b.lo.lo_key() <= a.lo.lo_key() and a.hi.hi_key() <= b.hi.hi_key()
+                       for b in other.parts) for a in self.parts)
 
     def closure(self) -> "IntervalSet":
-        closed = [
-            Interval(Boundary(p.lo.value, True), Boundary(p.hi.value, True))
-            for p in self.parts
-        ]
-        return IntervalSet.from_parts(closed)
+        return _build(((p.lo.value, 0), (p.hi.value, 0)) for p in self.parts)
 
     def sup(self) -> tuple[Fraction, bool]:
         """Least upper bound and whether it is attained. Empty sets have none."""
         if self.is_empty:
             raise ValueError("empty set has no supremum")
-        last = self.parts[-1].hi
-        return (last.value, last.closed)
+        return self.parts[-1].hi.value, self.parts[-1].hi.closed
 
     def inf(self) -> tuple[Fraction, bool]:
         if self.is_empty:
             raise ValueError("empty set has no infimum")
-        first = self.parts[0].lo
-        return (first.value, first.closed)
+        return self.parts[0].lo.value, self.parts[0].lo.closed
 
     def pick(self) -> Fraction:
         """A concrete member, for witnesses. Raises on the empty set."""
         if self.is_empty:
             raise ValueError("cannot pick from the empty set")
-        part = self.parts[0]
-        if part.is_degenerate():
-            return part.lo.value
-        if part.lo.closed:
-            return part.lo.value
-        if part.hi.closed:
-            return part.hi.value
-        return (part.lo.value + part.hi.value) / 2
+        lo, hi = self.parts[0].lo, self.parts[0].hi
+        return lo.value if lo.closed else hi.value if hi.closed else (lo.value + hi.value) / 2
 
     def render(self) -> str:
         if self.is_empty:
             return "empty"
         return " u ".join(part.render() for part in self.parts)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     # frozenset's operators, so finite and interval factors read alike
     def __bool__(self) -> bool:
@@ -274,19 +228,17 @@ def parse_interval_set(text: str) -> IntervalSet:
     stripped = text.strip()
     if stripped == "empty":
         return IntervalSet.empty()
-    parts = []
+    ranges = []
     for chunk in stripped.split(" u "):
         m = _PART_RE.match(chunk.strip())
         if m is None:
             raise IntervalSetParseError(f"bad interval syntax: {chunk!r}")
         if m.group("pt") is not None:
-            p = Fraction(m.group("pt"))
-            parts.append(Interval(Boundary(p, True), Boundary(p, True)))
+            lo = hi = (Fraction(m.group("pt")), 0)
         else:
-            lo = Boundary(Fraction(m.group("lo")), m.group("bra") == "[")
-            hi = Boundary(Fraction(m.group("hi")), m.group("ket") == "]")
-            part = _maybe_interval(lo, hi)
-            if part is None:
+            lo = (Fraction(m.group("lo")), 0 if m.group("bra") == "[" else 1)
+            hi = (Fraction(m.group("hi")), 0 if m.group("ket") == "]" else -1)
+            if lo > hi:
                 raise IntervalSetParseError(f"empty interval literal: {chunk!r}")
-            parts.append(part)
-    return IntervalSet.from_parts(parts)
+        ranges.append((lo, hi))
+    return _build(sorted(ranges))

@@ -56,6 +56,29 @@ def test_missing_file_exit_1(capsys):
     assert "missing.qg" in err
 
 
+@pytest.mark.parametrize("case", ["directory", "game bytes", "script bytes"])
+def test_unreadable_input_exit_1(capsys, tmp_path, case):
+    bad = tmp_path / "bad"
+    if case == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe")
+    argv = ["maximal", str(bad)]
+    if case == "script bytes":
+        argv = ["reduce", "fx1.qg", "--path", str(bad)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    reason = "Is a directory" if case == "directory" else "'utf-8' codec can't decode byte 0xff"
+    assert err.startswith(f"qualred: cannot read {str(bad)!r}: {reason}") and "\n" not in err[:-1]
+
+
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(capsys, ["maximal", "fx1.qg", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err == f"qualred: cannot write {str(target)!r}: No such file or directory\n"
+
+
 def test_bad_script_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.path"
     bad.write_text("step: player=1 remove=[nope)\n")

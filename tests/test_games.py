@@ -4,7 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from qualred.games import GameError, derive_pref_from_utility, eval_value
+from qualred.dsl import serialize_game
+from qualred.engine import restrict
+from qualred.games import (
+    FiniteSpace,
+    FiniteTable,
+    Game,
+    GameError,
+    UtilityTable,
+    derive_pref_from_utility,
+    eval_value,
+)
 from qualred.intervals import IntervalSet
 
 I = IntervalSet.interval
@@ -41,6 +51,30 @@ def test_derive_pref_from_utility(load_game):
     assert eval_value(g, p1, ("b", "d")) == frozenset({"a"})
     assert eval_value(g, p2, ("a", "d")) == frozenset({"c"})
     assert eval_value(g, p2, ("a", "c")) == frozenset()
+
+
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("call", ["derive", "restrict", "serialize"])
+def test_a_missing_table_row_names_the_player_and_profile(player, call):
+    # a hand-built 2x1 game whose tables for one player lack the row (b, c)
+    full = {("a", "c"): F(0), ("b", "c"): F(1)}
+    rows = [dict(full), dict(full)]
+    del rows[player - 1][("b", "c")]
+    game = Game(
+        "gap",
+        (FiniteSpace(("a", "b")), FiniteSpace(("c",))),
+        tuple(FiniteTable(i + 1, {x: frozenset() for x in r}) for i, r in enumerate(rows)),
+        None,
+        tuple(UtilityTable(i + 1, r) for i, r in enumerate(rows)),
+    )
+    run = {
+        "derive": lambda: derive_pref_from_utility(game),
+        "restrict": lambda: restrict(game, (frozenset("ab"), frozenset("c"))),
+        "serialize": lambda: serialize_game(game),
+    }[call]
+    with pytest.raises(GameError) as missing:
+        run()
+    assert str(missing.value) == f"player {player}: no table row for profile ('b', 'c')"
 
 
 def test_labels_and_carrier_guards(load_game):

@@ -1,11 +1,13 @@
 """Interval-set algebra: canonical form, lattice laws, rendering."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qualred.intervals import (
+    Boundary,
     Interval,
     IntervalSet,
     IntervalSetParseError,
@@ -141,6 +143,41 @@ def test_lattice_laws(a, b, c):
     assert a.union(a.intersect(b)) == a
     assert a.intersect(a.union(b)) == a
     assert a.intersect(b.union(c)) == a.intersect(b).union(a.intersect(c))
+
+
+# the three ways two touching halves can keep their cut point c: ..c] (c..,
+# ..c) [c.. and ..c] [c..; both open would drop c
+CUT_PAIRINGS = ((True, False), (False, True), (True, True))
+
+
+@pytest.mark.parametrize("pairing", CUT_PAIRINGS + (None,))
+def test_canonical_form_does_not_depend_on_the_cuts(pairing):
+    """A seeded set with every part cut at interior points into touching
+    halves (with one pairing, or a random one per cut if None) is rebuilt
+    by from_parts on the shuffled pieces and by a chain of unions."""
+    rng = random.Random(7)
+    for _ in range(300):
+        ends = {F(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(rng.randint(0, 9))}
+        ends = sorted(ends)
+        parts = [
+            Interval(*(Boundary(e, a == b or rng.random() < 0.5) for e in (a, b)))
+            for a, b in zip(ends[::2], ends[1::2] + ends[-1:])  # a lone last end is a point
+        ]
+        original = IntervalSet.from_parts(parts)
+        pieces = []
+        for part in original:
+            lo, a, b = part.lo, part.lo.value, part.hi.value
+            for c in sorted({a + (b - a) * F(rng.randint(1, 11), 12) for _ in range(3)} - {a}):
+                left, right = pairing or rng.choice(CUT_PAIRINGS)
+                pieces.append(Interval(lo, Boundary(c, left)))
+                lo = Boundary(c, right)
+            pieces.append(Interval(lo, part.hi))
+        rng.shuffle(pieces)
+        chained = IntervalSet.empty()
+        for piece in pieces:
+            chained = chained.union(IntervalSet((piece,)))
+        for rebuilt in (IntervalSet.from_parts(pieces), chained):
+            assert rebuilt == original and rebuilt.render() == original.render()
 
 
 @given(interval_sets(), interval_sets())

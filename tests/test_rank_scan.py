@@ -150,6 +150,34 @@ def test_back_matches_merging_the_rational_parts(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_rank_operators_match_the_rational_ones(n):
+    """For sets whose ends are points of a game's record, each _Span
+    operator mapped back is the IntervalSet one, and membership of every
+    even rank is membership of its coordinate."""
+    rng = random.Random(40 + n)
+
+    def rational_set(points):
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = sorted(rng.sample(points, 2)) if rng.random() < 0.8 else [rng.choice(points)] * 2
+            closed = [a == b or rng.random() < 0.5 for _ in "lh"]
+            parts.append(Interval(Boundary(a, closed[0]), Boundary(b, closed[1])))
+        return IntervalSet.from_parts(parts)
+
+    for game in _games(n):
+        ranks = _scan(game)
+        evens = range(0, (len(ranks.points) - 1) * ranks.width + 1, 2)
+        for _ in range(40):
+            a, b = rational_set(ranks.points), rational_set(ranks.points)
+            sa, sb = ranks.span(a), ranks.span(b)
+            assert ranks.back(sa & sb) == a & b, (game.name, a, b)
+            for x, y in ((a, b), (b, a), (a, a.union(b)), (a & b, b)):
+                assert (ranks.span(x) <= ranks.span(y)) == (x <= y), (game.name, x, y)
+            assert ranks.back(sa.closure()) == a.closure(), (game.name, a)
+            assert all((t in sa) == (ranks.coord(t) in a) for t in evens), (game.name, a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_a_skip_drops_the_rest_of_its_prefix(n):
     """After skip, a walk goes on at the next prefix: it yields the full
     walk minus the points after each skipped point that share its prefix."""
