@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import and_
 
 from .games import Game, GameError, _Ranks, _ranks, _scan, eval_value
 from .intervals import IntervalSet
-from .engine import (
-    Pairing,
-    _region_where,
-    dominator_set,
-    factor_pick,
-    full_pairing,
-)
+from .engine import Pairing, _checked, _region_where, dominator_set, factor_pick, full_pairing
 
 def _fmt(value) -> str:
     if isinstance(value, tuple):
@@ -48,6 +41,7 @@ class Verdict:
 
 
 def _closure(v):
+    """A compiled value's closure; finite spaces are discrete."""
     return v if isinstance(v, frozenset) else v.closure()
 
 
@@ -247,7 +241,7 @@ def check_hypotheses(game: Game, names: list[str] | None = None) -> dict[str, Ve
 def check_condition_D(game: Game, h: Pairing) -> Verdict:
     """Everything dominated at h has a dominator still alive in h."""
     name = "condition-D"
-    full = full_pairing(game)
+    full = _checked(game, h)
     for i in range(game.n):
         dominated = _region_where(game, h, i, domain=full[i])
         bad = dominated - _region_where(game, h, i, domain=dominated, member=h[i])
@@ -260,7 +254,7 @@ def check_condition_C(game: Game, h: Pairing) -> Verdict:
     """Everything dominated at h has a dominator that is itself
     undominated at h."""
     name = "condition-C"
-    full = full_pairing(game)
+    full = _checked(game, h)
     for i in range(game.n):
         dominated = _region_where(game, h, i, domain=full[i])
         good = _region_where(game, h, i, domain=dominated, member=full[i] - dominated)
@@ -274,9 +268,9 @@ def find_undominated_dominator(game: Game, h: Pairing, i: int, x):
     """A dominator of x at h that is itself undominated at h, drawn from
     the player's surviving set, or None when there is none. The regions
     are exact, so a miss is definitive on continuum games too."""
+    d = dominator_set(game, h, i, x).strategies  # checks h and i
     if not all(h[j] for j in range(game.n) if j != i):
         raise GameError("precondition unmet: an opponent factor is empty")
-    d = dominator_set(game, h, i, x).strategies
     if not d:
         raise GameError("precondition unmet: the strategy is not dominated")
     pool = (d & h[i]) - _region_where(game, h, i, domain=full_pairing(game)[i])
@@ -321,14 +315,15 @@ def _boxes(ranks: _Ranks, cells: set[tuple[tuple[int, int], ...]]) -> list[tuple
     return sorted(split(cells), key=lambda box: [f.render() for f in box])
 
 
-def _continuum_regions(game: Game, h: Pairing):
-    """Maximal elements of a continuum game and of the game reduced to h,
-    and the first order-cell point maximal in the first only, or else in
-    the second only (None when they agree). At a profile x of h the
-    reduced P_i(x) is P_i(x) cut to h[i], so one pass over the order
-    cells, cut at h's endpoints too, decides both. A union of boxes holds
-    each product cell (a constant or open gap on every axis) wholly or not
-    at all; a region that splits one, like x1 >= x2, raises GameError."""
+def _regions(game: Game, h: Pairing):
+    """Maximal elements of a game and of the game reduced to h, and the
+    least finite profile maximal on one side only, or else the first
+    order-cell point maximal in the first only, or else in the second only
+    (None when they agree). At a profile x of h the reduced P_i(x) is P_i(x)
+    cut to h[i], so one pass over the order cells (the finite profiles), cut
+    at h's endpoints too, decides both. A union of boxes holds each product
+    cell (a constant or open gap on every axis) wholly or not at all; a
+    region that splits one, like x1 >= x2, raises GameError."""
     ranks, kept = _ranks(game, *h)
     cells: dict[tuple, tuple[bool, bool]] = {}
     first: dict[tuple[bool, bool], tuple] = {}
@@ -347,26 +342,27 @@ def _continuum_regions(game: Game, h: Pairing):
                 f"near profile {_fmt(ranks.profile(x))} they depend on the order of coordinates"
             )
         first.setdefault((orig, red), x)
-    original, reduced = (
-        MaximalElements("boxes", boxes=_boxes(ranks, {c for c, m in cells.items() if m[k]}))
-        for k in (0, 1)
-    )
+    sides = [[c for c, m in cells.items() if m[k]] for k in (0, 1)]
+    if game.is_finite:  # the pinned finite form: profiles in product order, the least witnessing
+        witness = min((c for c, (o, r) in cells.items() if o != r), default=None)
+        return (*(MaximalElements("profiles", profiles=p) for p in sides), witness)
+    original, reduced = (MaximalElements("boxes", boxes=_boxes(ranks, set(c))) for c in sides)
     witness = first.get((True, False)) or first.get((False, True))
     return original, reduced, witness and ranks.profile(witness)
 
 
 def maximal_elements(game: Game) -> MaximalElements:
     """Profiles at which nobody prefers any replacement: all P_i empty.
-    Finite profiles come in product order, read from the compiled masks;
-    a continuum region comes as its canonical boxes, or raises GameError
-    when it is not a finite union of boxes (see ``_continuum_regions``)."""
+    Finite profiles come in product order, read from the compiled masks at
+    a tenth of the cost of the ``_regions`` pass on large games; a continuum
+    region comes as its canonical boxes (see ``_regions``)."""
     if game.is_finite:
         masks = zip(*(r.flat for r in _scan(game).rows))
         profiles = list(itertools.compress(game.profiles(), (not any(m) for m in masks)))
         return MaximalElements("profiles", profiles=profiles)
     # reduced to empty sets, the game has no maximal elements: the scan
     # evaluates the original side only
-    return _continuum_regions(game, (IntervalSet.empty(),) * game.n)[0]
+    return _regions(game, (IntervalSet.empty(),) * game.n)[0]
 
 
 @dataclass
@@ -402,36 +398,14 @@ def check_preservation(game: Game, final: Pairing) -> PreservationReport:
     game. Inequality is labeled an expected counterexample whenever one of
     the preservation hypotheses already fails (or cannot be checked).
 
-    The reduced game is never built: at a profile x of final its P_i(x)
-    is P_i(x) cut to final[i]. A finite witness is the least profile
-    maximal on one side only, a continuum one as in ``_continuum_regions``.
+    The reduced game is never built (see ``_regions``). Labels of final
+    outside the space are dropped, as ``restrict`` drops them; a pairing of
+    the wrong length or class raises GameError.
     """
-    if game.is_finite:
-        original = maximal_elements(game)
-        rows = _scan(game).rows
-        keep = [sum(b for s, b in r.bit.items() if s in f) for r, f in zip(rows, final)]
-        profiles = [
-            x
-            for x, *masks in zip(game.profiles(), *(r.flat for r in rows))
-            if all(t in f for t, f in zip(x, final)) and not any(map(and_, masks, keep))
-        ]
-        reduced = MaximalElements("profiles", profiles=profiles)
-        witness = min(set(original.profiles) ^ set(reduced.profiles), default=None)
-    else:
-        original, reduced, witness = _continuum_regions(game, final)
+    _checked(game, final, within=False)
+    original, reduced, witness = _regions(game, final)
     equal = witness is None
     hypotheses = check_hypotheses(game, ["irreflexive", "propertyT-pair", "z-star"])
-    label = None
-    if not equal:
-        if all(v.status == "holds" for v in hypotheses.values()):
-            label = "THEOREM-VIOLATION"
-        else:
-            label = "EXPECTED-COUNTEREXAMPLE"
-    return PreservationReport(
-        equal=equal,
-        original=original,
-        reduced=reduced,
-        witness=witness,
-        hypotheses=hypotheses,
-        label=label,
-    )
+    holds = all(v.ok for v in hypotheses.values())
+    label = None if equal else "THEOREM-VIOLATION" if holds else "EXPECTED-COUNTEREXAMPLE"
+    return PreservationReport(equal, original, reduced, witness, hypotheses, label)

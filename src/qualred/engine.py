@@ -8,15 +8,18 @@ against everything the opponents might still play.
 
 Both read the record the checks scan (``games._scan``): finite games
 their tables compiled to masks (``games._FiniteRows``), continuum games
-their rank record (``games._Ranks``).
+their rank record (``games._Ranks``). The public entry points refuse a
+malformed pairing or player with GameError (see ``_checked``).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import le
 from typing import Union
 
 from .games import (
@@ -55,29 +58,35 @@ class Operator(Enum):
 
 
 def full_pairing(game: Game) -> Pairing:
-    return tuple(
-        frozenset(s.labels) if isinstance(s, FiniteSpace) else s.carrier
-        for s in game.spaces
-    )
+    """Every player's whole space, built once per game (see ``games._scan``)."""
+    return _scan(game).full
 
 
 def factor_pick(game: Game, i: int, f: Factor):
     """A member of a nonempty factor: the first in label order for finite
     games, so witnesses do not depend on set iteration order."""
-    if isinstance(f, IntervalSet):
-        return f.pick()
-    return next(s for s in game.labels(i) if s in f)
-
-
-def render_factor(game: Game, i: int, f: Factor) -> str:
-    if isinstance(f, IntervalSet):
-        return f.render()
-    ordered = [s for s in game.labels(i) if s in f]
-    return "{%s}" % ",".join(ordered)
+    return _scan(game).pick(i, f)
 
 
 def render_pairing(game: Game, h: Pairing) -> dict[str, str]:
-    return {str(i + 1): render_factor(game, i, h[i]) for i in range(game.n)}
+    return {str(i + 1): _scan(game).render(i, f) for i, f in enumerate(h)}
+
+
+def _checked(game: Game, h: Pairing, i: int = 0, within: bool = True) -> Pairing:
+    """The full pairing, once i is a player and h has one factor per player,
+    each of the game's class (of which <= raises TypeError on the other)
+    and, when within, in the player's space; else GameError."""
+    full = _scan(game).full
+    if not 0 <= i < len(full):
+        raise GameError(f"no player {i + 1} in this game")
+    if len(h) != len(full):
+        raise GameError(f"a pairing needs {len(full)} factors, one per player, not {len(h)}")
+    fits = le if within else lambda f, s: type(f) is type(s)
+    with suppress(TypeError):
+        if all(map(fits, h, full)):
+            return full
+    j = next(j for j, (f, s) in enumerate(zip(h, full)) if type(f) is not type(s) or not fits(f, s))
+    raise GameError(f"player {j + 1}: the pairing factor is not a set of their strategies")
 
 
 @dataclass(frozen=True)
@@ -96,17 +105,15 @@ def dominator_set(game: Game, h: Pairing, i: int, x) -> DominatorSet:
     not cached, over the ends of h too when some are off its points. A
     strategy outside the player's space raises GameError.
     """
-    corr = game.prefs[i]
-    if isinstance(corr, FiniteTable):
-        if x not in game.labels(i):
-            raise GameError(f"strategy {x} is not in player {i + 1}'s space")
-        rows = _scan(game).rows[i]
-        return DominatorSet(rows.members(rows.dominators(h[:i] + h[i + 1 :])[x]))
-
-    if not game.carrier(i).contains(x):
+    own = _checked(game, h, i)[i]
+    if x not in own:
         raise GameError(f"strategy {x} is not in player {i + 1}'s space")
-    if not all(h[j] for j in range(game.n) if j != i):
-        return DominatorSet(game.carrier(i))
+    key = h[:i] + h[i + 1 :]
+    if not all(key):
+        return DominatorSet(own)
+    if isinstance(own, frozenset):  # the backends: masks or ranks
+        rows = _scan(game).rows[i]
+        return DominatorSet(rows.members(rows.dominators(key)[x]))
     ranks, spans = _ranks(game, *h)
     r = ranks.rank.get(x.as_integer_ratio())
     if r is None:  # in an open gap, every even rank of it gives the same set
@@ -137,18 +144,16 @@ def _region_where(
     reduction and conditions C and D ask for stay among the game's cut
     points, so they read its cached record.
     """
-    if isinstance(domain, frozenset):
-        key = h[:i] + h[i + 1 :]
-        if not all(key):
-            return frozenset()
+    key = h[:i] + h[i + 1 :]
+    if not all(key):
+        return domain - domain
+    if isinstance(domain, frozenset):  # the backends: masks or ranks
         rows = _scan(game).rows[i]
         dom = rows.memo.get(key) or rows.dominators(key)
         if member is None and not exclude_self:
             return frozenset(filter(dom.__getitem__, domain))
         keep, bit = -1 if member is None else rows.mask(member), rows.bit
         return frozenset(x for x in domain if dom[x] & keep & ~(exclude_self and bit[x]))
-    if not all(h[j] for j in range(game.n) if j != i):
-        return domain - domain
     member = game.carrier(i) if member is None else member
     ranks, (*spans, inside, beat) = _ranks(game, *h, domain, member)
     dominators = ranks.dominators(i, spans, beat)
@@ -172,6 +177,7 @@ def condition_region(game: Game, h: Pairing, i: int, op: Operator, domain: Facto
 
 def eliminated_region(game: Game, h: Pairing, i: int, op: Operator) -> Factor:
     """Strategies of player i in h that the operator removes in one pass."""
+    _checked(game, h, i)
     return condition_region(game, h, i, op, h[i])
 
 

@@ -295,15 +295,18 @@ class _Ranks:
     axes[j], player j's options for ``cells``, and axes[n + j] the first of
     them alone, for a walk that holds coordinate j fixed. ``dominators``
     decides dominance on the compiled prefs, and ``skip`` prunes a walk.
-    It keeps the game's n, maps (prefs, comps) and carriers, not the game,
-    so a game caching it (see ``_scan``) is freed by refcount alone.
+    It keeps the game's n, maps (prefs, comps) and carriers (``full``, the
+    full pairing, whose factors ``pick`` and ``render`` read as they are),
+    not the game, so a game caching it (see ``_scan``) is freed by refcount.
     """
+
+    pick, render = staticmethod(lambda i, f: f.pick()), staticmethod(lambda i, f: f.render())
 
     def __init__(self, game: Game, points: list[Fraction]):
         self.n, self.maps, self.points = game.n, (game.prefs, game.comps), points
         self.width, self.slots = 4 * (game.n + 2), game.n + 1
         self.rank = {t.as_integer_ratio(): k * self.width for k, t in enumerate(points)}
-        self.carriers = [game.carrier(j) for j in range(game.n)]
+        self.carriers = self.full = tuple(map(game.carrier, range(game.n)))
 
     @cached_property
     def prefs(self) -> tuple:
@@ -521,15 +524,18 @@ class _Tables:
     k in a packed pairing. rows, one ``_FiniteRows`` per player, are built
     on first read, as the checks read the tables alone. It keeps the
     tables, not the game, so a game caching it is freed by refcount alone.
+    Labels are their own ranks: ``part``, ``span``, ``coord``, ``profile``
+    and ``skip`` (skipped points never fault) are the identity. ``full`` is
+    the label sets, which have no order, so ``pick`` and ``render`` follow
+    label order: witnesses and reports do not depend on iteration order.
     """
 
-    # a product walk goes on: skipped points never fault
-    skip = coord = profile = staticmethod(lambda t: t)
+    part = span = skip = coord = profile = staticmethod(lambda t: t)
 
     def __init__(self, game: Game):
         self.prefs, self.comps = game.prefs, game.comps
         self.labels, every = tuple(map(game.labels, range(game.n))), frozenset(range(game.n))
-        self.reads = lambda corr: every
+        self.full, self.reads = tuple(map(frozenset, self.labels)), lambda corr: every
         self.shifts = list(itertools.accumulate(map(len, self.labels), initial=0))
         bits = (enumerate(labels, at) for at, labels in zip(self.shifts, self.labels))
         self.bits = [{s: 1 << k for k, s in b} for b in bits]
@@ -547,6 +553,12 @@ class _Tables:
     @cached_property
     def rows(self) -> tuple[_FiniteRows, ...]:
         return tuple(_FiniteRows(self, i) for i in range(len(self.labels)))
+
+    def pick(self, i: int, f: frozenset) -> str:
+        return next(s for s in self.labels[i] if s in f)
+
+    def render(self, i: int, f: frozenset) -> str:
+        return "{%s}" % ",".join(s for s in self.labels[i] if s in f)
 
 
 class _FiniteRows:
@@ -624,10 +636,10 @@ def _scan(game: Game) -> _Ranks | _Tables:
     return game._scan
 
 
-def _ranks(game: Game, *sets: IntervalSet) -> tuple[_Ranks, list[_Span]]:
-    """The ``_Ranks`` of a continuum game (see ``_scan``) and the sets as
-    _Spans in it; when the ends of the sets are not all among its points,
-    a record over both, not cached."""
+def _ranks(game: Game, *sets: IntervalSet | frozenset) -> tuple[_Ranks | _Tables, list]:
+    """The scan record of a game (see ``_scan``) and the sets as _Spans in
+    it, a finite game's label sets as they are; when the ends of continuum
+    sets are not all among its points, a record over both, not cached."""
     ranks = _scan(game)
     try:
         return ranks, [ranks.span(s) for s in sets]

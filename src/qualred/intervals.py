@@ -208,7 +208,9 @@ class IntervalSet:
     __contains__ = contains
     __and__ = intersect
     __sub__ = difference
-    __le__ = is_subset
+
+    def __le__(self, other):  # as frozenset's: a set of the other class raises TypeError
+        return self.is_subset(other) if isinstance(other, IntervalSet) else NotImplemented
 
 
 # a rational literal: an integer, or a fraction with a nonzero denominator

@@ -33,6 +33,7 @@ from .engine import (
     eliminated_region,
     factor_pick,
     full_pairing,
+    _checked,
     _region_where,
 )
 
@@ -94,8 +95,7 @@ def _step(
     judgement, the audit and the path condition (validate None skips it)."""
     # a script's removals are checked; a fast step's lie in h by construction
     for i, removed in removals.items() if validate is not None else ():
-        if not 0 <= i < game.n:
-            raise GameError(f"no player {i + 1} in this game")
+        _checked(game, h, i)
         if not removed <= h[i]:
             why = "removal of {} is outside the current strategy set"
             raise _refuse(game, i, removed - h[i], why)
@@ -169,7 +169,9 @@ def path_step(
     One step of the stage loop, reading the same per-stage judgement as the
     fast reduction. With validate on, an invalid removal raises
     InvalidRemoval naming a witness strategy. Subset violations always
-    raise, and so does a player outside the game, with GameError."""
+    raise, and so does a player outside the game or a malformed pairing
+    (see ``engine._checked``), with GameError."""
+    _checked(game, h)
     post, _, audit, valid = _step(game, h, None, op, removals, validate)
     return post, audit, valid
 
